@@ -290,26 +290,44 @@ func BenchmarkQuantConv2DExact(b *testing.B) {
 }
 
 // BenchmarkQuantConv2DLUT is the approximate-multiplier variant: the same
-// integer GEMM with every product through a compiled 8-bit LUT.
+// integer GEMM with every product through a compiled 8-bit LUT. The LUT
+// is compiled before the timer starts.
 func BenchmarkQuantConv2DLUT(b *testing.B) {
 	x := tensor.New(8, 16, 16, 16).FillNormal(tensor.NewRNG(1), 0, 1)
 	w := tensor.New(32, 16, 3, 3).FillNormal(tensor.NewRNG(2), 0, 1)
 	bias := tensor.New(32)
+	be := quantApproxBench(b)
+	s := tensor.NewScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		axe.QuantConv2D(x, w, bias, 1, 1, approx.BrokenCarry{Depth: 6, Compensate: true}, 8)
+		s.Release(be.Conv2D("L", x, w, bias, 1, 1, s))
 	}
 }
 
 // BenchmarkQuantCapsVotes measures the quantized fully-connected capsule
-// vote kernel on the BenchmarkDynamicRoutingKernel layer shape.
+// vote kernel, through a compiled LUT, on the
+// BenchmarkDynamicRoutingKernel layer shape.
 func BenchmarkQuantCapsVotes(b *testing.B) {
 	u := tensor.New(8, 64, 8).FillNormal(tensor.NewRNG(4), 0, 0.3)
 	w := tensor.New(64, 10, 16, 8).FillGlorot(tensor.NewRNG(3), 8, 16)
+	be := quantApproxBench(b)
+	s := tensor.NewScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		axe.QuantClassCapsVotes(u, w, approx.BrokenCarry{Depth: 6, Compensate: true}, 8)
+		s.Release(be.CapsVotes("L", u, w, s))
 	}
+}
+
+// quantApproxBench is the approximate backend the LUT kernel benchmarks
+// run: layer "L" multiplies through a BrokenCarry LUT.
+func quantApproxBench(b *testing.B) *axe.QuantApprox {
+	be, err := axe.NewQuantApprox(8, map[string]approx.Multiplier{
+		"L": approx.BrokenCarry{Depth: 6, Compensate: true},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return be
 }
 
 func BenchmarkDynamicRoutingKernel(b *testing.B) {

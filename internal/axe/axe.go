@@ -14,32 +14,88 @@
 package axe
 
 import (
-	"fmt"
+	"sync/atomic"
 
 	"redcane/internal/approx"
 	"redcane/internal/fixed"
 	"redcane/internal/tensor"
 )
 
-// macMul is the multiplier plugged into the quantized MAC kernels. It is
-// a type parameter (not an interface field) so the per-product call
-// inlines into the inner accumulation loops.
-type macMul interface {
-	// mul returns the (possibly approximate) product of two operand
-	// codes. Codes are ≤ 8 bits for LUT multipliers, ≤ 16 bits exact.
-	mul(a, b uint16) uint32
+// macRows is one concrete MAC loop: dst[k] = Σ_i mul(row[i], w[k·len(row)+i])
+// for every k — the raw code-domain product sums of one operand row
+// against len(dst) contiguous weight rows. Each kernel call picks its
+// loop once (macRowsFor), so the multiply inside is a plain integer
+// multiply or a table load, never a call per product.
+type macRows func(dst []int64, row, w []uint16)
+
+// macRowsFor returns the exact loop for a nil lut, else the LUT loop.
+func macRowsFor(lut *approx.LUT) macRows {
+	if lut == nil {
+		return macRowsExact
+	}
+	return func(dst []int64, row, w []uint16) { macRowsLUT(lut, dst, row, w) }
 }
 
-// exactMul multiplies operand codes exactly (any wordlength up to 16).
-type exactMul struct{}
+// macRowsExact multiplies codes of up to 16 bits exactly. Each product
+// fits in 32 bits, so the uint64 sums cannot wrap for any real row.
+// Weight rows go four at a time, sharing each operand load.
+func macRowsExact(dst []int64, row, w []uint16) {
+	k := len(row)
+	j := 0
+	for ; j+4 <= len(dst); j += 4 {
+		w0 := w[j*k : (j+1)*k][:len(row)]
+		w1 := w[(j+1)*k : (j+2)*k][:len(row)]
+		w2 := w[(j+2)*k : (j+3)*k][:len(row)]
+		w3 := w[(j+3)*k : (j+4)*k][:len(row)]
+		var s0, s1, s2, s3 uint64
+		for i, x := range row {
+			xv := uint64(x)
+			s0 += xv * uint64(w0[i])
+			s1 += xv * uint64(w1[i])
+			s2 += xv * uint64(w2[i])
+			s3 += xv * uint64(w3[i])
+		}
+		dst[j], dst[j+1], dst[j+2], dst[j+3] = int64(s0), int64(s1), int64(s2), int64(s3)
+	}
+	for ; j < len(dst); j++ {
+		wr := w[j*k : (j+1)*k][:len(row)]
+		var sum uint64
+		for i, x := range row {
+			sum += uint64(x) * uint64(wr[i])
+		}
+		dst[j] = int64(sum)
+	}
+}
 
-func (exactMul) mul(a, b uint16) uint32 { return uint32(a) * uint32(b) }
-
-// lutMul multiplies 8-bit operand codes through a compiled behavioral
-// LUT.
-type lutMul struct{ t *approx.LUT }
-
-func (m lutMul) mul(a, b uint16) uint32 { return uint32(m.t.Mul(uint8(a), uint8(b))) }
+// macRowsLUT multiplies 8-bit codes through a compiled behavioral LUT,
+// four weight rows at a time.
+func macRowsLUT(lut *approx.LUT, dst []int64, row, w []uint16) {
+	k := len(row)
+	j := 0
+	for ; j+4 <= len(dst); j += 4 {
+		w0 := w[j*k : (j+1)*k][:len(row)]
+		w1 := w[(j+1)*k : (j+2)*k][:len(row)]
+		w2 := w[(j+2)*k : (j+3)*k][:len(row)]
+		w3 := w[(j+3)*k : (j+4)*k][:len(row)]
+		var s0, s1, s2, s3 uint64
+		for i, x := range row {
+			a := uint8(x)
+			s0 += uint64(lut.Mul(a, uint8(w0[i])))
+			s1 += uint64(lut.Mul(a, uint8(w1[i])))
+			s2 += uint64(lut.Mul(a, uint8(w2[i])))
+			s3 += uint64(lut.Mul(a, uint8(w3[i])))
+		}
+		dst[j], dst[j+1], dst[j+2], dst[j+3] = int64(s0), int64(s1), int64(s2), int64(s3)
+	}
+	for ; j < len(dst); j++ {
+		wr := w[j*k : (j+1)*k][:len(row)]
+		var sum uint64
+		for i, x := range row {
+			sum += uint64(lut.Mul(uint8(x), uint8(wr[i])))
+		}
+		dst[j] = int64(sum)
+	}
+}
 
 // quantizeCodes calibrates a b-bit affine quantizer on t and encodes
 // every element into a scratch-recycled code buffer.
@@ -57,26 +113,23 @@ func quantizeCodes(t *tensor.Tensor, bits uint, s *tensor.Scratch) (fixed.Quanti
 // (256 guard terms), signed. A raw code-domain product sum beyond
 // ±(2^(2b+7)) is an accumulator overflow on such hardware — the numeric
 // health probes count these. The Go kernels themselves accumulate in
-// int64 and never wrap; the count is diagnostic only.
+// 64 bits and never wrap; the count is diagnostic only.
 func accSatMax(bits uint) int64 {
 	accBits := 2*bits + 8
 	return int64(1)<<(accBits-1) - 1
 }
 
-// quantGEMMMaxCols caps the size (in uint16 elements) of the code-domain
-// im2col matrix the quantized conv materializes; convolutions whose
-// matrix would be larger stream one patch row at a time instead. A
-// package variable so tests can force the streaming path. Both paths
-// compute identical integer sums, so the cutoff never changes results.
-var quantGEMMMaxCols = 1 << 22
+// accOverflows reports whether a raw product sum overflows the modeled
+// accumulator (see accSatMax).
+func accOverflows(sum, satMax int64) bool { return sum > satMax || sum < -satMax-1 }
 
 // convWindow holds the hoisted per-(oy,ox) border quantities for one
 // distinct valid-tap window [kyLo,kyHi)×[kxLo,kxHi): the per-channel
 // valid weight-code sums, the per-channel correction for zero-code
-// padded products (nonzero only for multipliers with mul(0,c) ≠ 0), and
-// the valid tap count. There are at most (KH+1)·(KW+1) distinct windows
+// padded products (nil for exact products, where mul(0,c) = 0), and the
+// valid tap count. There are at most (KH+1)·(KW+1) distinct windows
 // per convolution, so each is computed once instead of re-walking the
-// kernel per (oc, oy, ox) as the pre-GEMM kernel did.
+// kernel per (oc, oy, ox).
 type convWindow struct {
 	wsum  []int64 // per-oc Σ wq over the valid window
 	m0    []int64 // per-oc Σ mul(0, wq) over the *padded* complement
@@ -84,22 +137,25 @@ type convWindow struct {
 }
 
 // quantConv2D convolves x [n, inCh, h, w] with kernels w [outCh, inCh,
-// k, k] using b-bit affine-quantized operands and m for every partial
-// product, accumulating exactly. Bias (may be nil) is added in float.
-// Both quantizers are calibrated per call on the full tensors, the same
-// per-array ranging the paper's noise model uses. The output may come
-// from the scratch arena; callers release it.
+// k, k] using b-bit affine-quantized operands, multiplying exactly when
+// lut is nil and through lut otherwise, and accumulating exactly. Bias
+// (may be nil) is added in float. Both quantizers are calibrated per
+// call on the full tensors, the same per-array ranging the paper's noise
+// model uses. The output may come from the scratch arena; callers
+// release it.
 //
-// The kernel is a code-domain integer GEMM: operand codes are gathered
-// once into a uint16 im2col matrix (padding as code 0), each patch row's
-// Σ x-codes is computed once for all output channels, and the per-product
-// multiplier runs over flat contiguous rows. Zero-point cross terms use
-// the hoisted convWindow tables on border positions; interior positions
-// never test padding. Integer accumulation is order-free, so this is
-// exact-equal to the naive reference (axe_ref.go) by construction.
-// A non-nil ovf additionally tallies accumulator overflows (see
-// accSatMax) without changing any output bit.
-func quantConv2D[M macMul](m M, x, w, bias *tensor.Tensor, stride, pad int, bits uint, s *tensor.Scratch, ovf *int64) *tensor.Tensor {
+// The kernel is a streaming code-domain integer GEMM: each output
+// position's patch row of operand codes is gathered once (padding as
+// code 0) and multiplied against every output channel's contiguous
+// weight row, and its Σ x-codes is computed once for all channels.
+// Zero-point cross terms use the hoisted convWindow tables. The n·oh·ow
+// patch rows are split across cores, each chunk with its own row buffer;
+// every output element is written by exactly one chunk and integer
+// accumulation is order-free, so results are exact-equal to the naive
+// reference (axe_ref_test.go) for any worker split. A non-nil ovf
+// additionally tallies accumulator overflows (see accSatMax) without
+// changing any output bit.
+func quantConv2D(lut *approx.LUT, x, w, bias *tensor.Tensor, stride, pad int, bits uint, s *tensor.Scratch, ovf *int64) *tensor.Tensor {
 	qx, xq := quantizeCodes(x, bits, s)
 	qw, wq := quantizeCodes(w, bits, s)
 
@@ -110,38 +166,32 @@ func quantConv2D[M macMul](m M, x, w, bias *tensor.Tensor, stride, pad int, bits
 	n, h, wd := x.Shape[0], x.Shape[2], x.Shape[3]
 	oh, ow := spec.OutSize(h, wd)
 
-	k := spec.KH * spec.KW
-	patch := spec.InCh * k
+	patch := spec.InCh * spec.KH * spec.KW
 	out := s.Take(n, spec.OutCh, oh, ow)
 	rows := oh * ow
+
+	// mul0 is the product of a zero code and c: nonzero for some LUTs.
+	mul0 := func(c uint16) int64 {
+		if lut == nil {
+			return 0
+		}
+		return int64(lut.Mul(0, uint8(c)))
+	}
 
 	// Whole-kernel per-oc sums: Σ wq and Σ mul(0, wq).
 	sumWq := make([]int64, spec.OutCh)
 	sumM0 := make([]int64, spec.OutCh)
 	for oc := 0; oc < spec.OutCh; oc++ {
-		wrow := wq[oc*patch : (oc+1)*patch]
 		var sw, s0 int64
-		for _, c := range wrow {
+		for _, c := range wq[oc*patch : (oc+1)*patch] {
 			sw += int64(c)
-			s0 += int64(m.mul(0, c))
+			s0 += mul0(c)
 		}
 		sumWq[oc] = sw
 		sumM0[oc] = s0
 	}
 	interior := &convWindow{wsum: sumWq, valid: int64(patch)}
 
-	// Valid-tap ranges per output row/column and the lazily-built window
-	// table for border positions.
-	kyLo := make([]int, oh)
-	kyHi := make([]int, oh)
-	for oy := 0; oy < oh; oy++ {
-		kyLo[oy], kyHi[oy] = clampTap(oy, stride, pad, spec.KH, h)
-	}
-	kxLo := make([]int, ow)
-	kxHi := make([]int, ow)
-	for ox := 0; ox < ow; ox++ {
-		kxLo[ox], kxHi[ox] = clampTap(ox, stride, pad, spec.KW, wd)
-	}
 	windows := map[int]*convWindow{}
 	winFor := func(yLo, yHi, xLo, xHi int) *convWindow {
 		if yLo == 0 && yHi == spec.KH && xLo == 0 && xHi == spec.KW {
@@ -153,8 +203,10 @@ func quantConv2D[M macMul](m M, x, w, bias *tensor.Tensor, stride, pad int, bits
 		}
 		bw := &convWindow{
 			wsum:  make([]int64, spec.OutCh),
-			m0:    make([]int64, spec.OutCh),
 			valid: int64(spec.InCh * (yHi - yLo) * (xHi - xLo)),
+		}
+		if lut != nil {
+			bw.m0 = make([]int64, spec.OutCh)
 		}
 		for oc := 0; oc < spec.OutCh; oc++ {
 			var sw, s0 int64
@@ -164,17 +216,30 @@ func quantConv2D[M macMul](m M, x, w, bias *tensor.Tensor, stride, pad int, bits
 					for kx := xLo; kx < xHi; kx++ {
 						c := wq[base+kx]
 						sw += int64(c)
-						s0 += int64(m.mul(0, c))
+						s0 += mul0(c)
 					}
 				}
 			}
 			bw.wsum[oc] = sw
 			// Padded complement: zero-code products the flat GEMM row
 			// accumulated that the reference never sees.
-			bw.m0[oc] = sumM0[oc] - s0
+			if bw.m0 != nil {
+				bw.m0[oc] = sumM0[oc] - s0
+			}
 		}
 		windows[key] = bw
 		return bw
+	}
+
+	// Resolve every output position's window before the rows go
+	// parallel: winFor writes to the windows map.
+	wins := make([]*convWindow, rows)
+	for oy := 0; oy < oh; oy++ {
+		yLo, yHi := clampTap(oy, stride, pad, spec.KH, h)
+		for ox := 0; ox < ow; ox++ {
+			xLo, xHi := clampTap(ox, stride, pad, spec.KW, wd)
+			wins[oy*ow+ox] = winFor(yLo, yHi, xLo, xHi)
+		}
 	}
 
 	sx, mx := qx.Step(), qx.Min
@@ -184,47 +249,23 @@ func quantConv2D[M macMul](m M, x, w, bias *tensor.Tensor, stride, pad int, bits
 		biasData = bias.Data
 	}
 	satMax := accSatMax(bits)
-
-	if n*rows*patch <= quantGEMMMaxCols {
-		// Materialize the code im2col matrix once (padding = code 0).
-		xcols := s.TakeU16(n * rows * patch)
-		r := 0
-		for b := 0; b < n; b++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					gatherCodeRow(xcols[r*patch:(r+1)*patch], xq, b, oy, ox, h, wd, spec)
-					r++
-				}
-			}
+	mac := macRowsFor(lut)
+	var over atomic.Int64
+	tensor.ParallelRows(n*rows, func(r0, r1 int) {
+		row := make([]uint16, patch)
+		sums := make([]int64, spec.OutCh)
+		var chunkOver int64
+		for r := r0; r < r1; r++ {
+			b, p := r/rows, r%rows
+			gatherCodeRow(row, xq, b, p/ow, p%ow, h, wd, spec)
+			mac(sums, row, wq)
+			chunkOver += quantAccRow(sums, row, wins[p], sx, mx, sw, mw, biasData,
+				out.Data[b*spec.OutCh*rows+p:], rows, satMax)
 		}
-		for b := 0; b < n; b++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					row := xcols[((b*oh+oy)*ow+ox)*patch:]
-					row = row[:patch:patch]
-					win := winFor(kyLo[oy], kyHi[oy], kxLo[ox], kxHi[ox])
-					quantAccRow(m, row, wq, win, sx, mx, sw, mw, biasData,
-						out.Data[b*spec.OutCh*rows+oy*ow+ox:], rows, satMax, ovf)
-				}
-			}
-		}
-		s.ReleaseU16(xcols)
-	} else {
-		// Streaming fallback: gather one patch row at a time. Same
-		// integer sums, same hoisted border tables.
-		rowBuf := s.TakeU16(patch)
-		row := rowBuf[:patch:patch]
-		for b := 0; b < n; b++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					gatherCodeRow(row, xq, b, oy, ox, h, wd, spec)
-					win := winFor(kyLo[oy], kyHi[oy], kxLo[ox], kxHi[ox])
-					quantAccRow(m, row, wq, win, sx, mx, sw, mw, biasData,
-						out.Data[b*spec.OutCh*rows+oy*ow+ox:], rows, satMax, ovf)
-				}
-			}
-		}
-		s.ReleaseU16(rowBuf)
+		over.Add(chunkOver)
+	})
+	if ovf != nil {
+		*ovf += over.Load()
 	}
 	s.ReleaseU16(xq, wq)
 	return out
@@ -275,25 +316,20 @@ func gatherCodeRow(dst []uint16, xq []uint16, b, oy, ox, h, wd int, spec tensor.
 	}
 }
 
-// quantAccRow accumulates one patch row against every output channel:
-// the flat code-domain dot through m, the hoisted zero-point cross
-// terms, and the float epilogue. dst[oc*dstStride] receives channel oc.
-// A non-nil ovf counts raw product sums (before the pad correction —
-// hardware accumulates every term) whose magnitude exceeds satMax.
-func quantAccRow[M macMul](m M, row, wq []uint16, win *convWindow, sx, mx, sw, mw float64, bias []float64, dst []float64, dstStride int, satMax int64, ovf *int64) {
+// quantAccRow finishes one patch row against every output channel:
+// sums[oc] is the row's raw product sum against channel oc, to which it
+// applies the pad correction, the hoisted zero-point cross terms and the
+// float epilogue. dst[oc*dstStride] receives channel oc. It returns how
+// many raw sums (before the pad correction — hardware accumulates every
+// term) overflow the modeled accumulator.
+func quantAccRow(sums []int64, row []uint16, win *convWindow, sx, mx, sw, mw float64, bias []float64, dst []float64, dstStride int, satMax int64) (over int64) {
 	var xSum int64
 	for _, xc := range row {
 		xSum += int64(xc)
 	}
-	patch := len(row)
-	for oc := range win.wsum {
-		wrow := wq[oc*patch : (oc+1)*patch : (oc+1)*patch]
-		var lutSum int64
-		for i, xc := range row {
-			lutSum += int64(m.mul(xc, wrow[i]))
-		}
-		if ovf != nil && (lutSum > satMax || lutSum < -satMax-1) {
-			*ovf++
+	for oc, lutSum := range sums {
+		if accOverflows(lutSum, satMax) {
+			over++
 		}
 		if win.m0 != nil {
 			lutSum -= win.m0[oc]
@@ -307,15 +343,5 @@ func quantAccRow[M macMul](m M, row, wq []uint16, win *convWindow, sx, mx, sw, m
 		}
 		dst[oc*dstStride] = acc
 	}
-}
-
-// QuantConv2D convolves with b-bit quantized operands and the given
-// approximate multiplier for every partial product. It is the standalone
-// kernel entry point (the backends wrap it with operand-buffer reuse);
-// multiplier LUTs are 8-bit, so bits must be ≤ 8.
-func QuantConv2D(x, w, bias *tensor.Tensor, stride, pad int, mult approx.Multiplier, bits uint) *tensor.Tensor {
-	if bits > 8 {
-		panic(fmt.Sprintf("axe: multiplier LUTs are 8-bit, got %d", bits))
-	}
-	return quantConv2D(lutMul{approx.CompileLUT(mult)}, x, w, bias, stride, pad, bits, nil, nil)
+	return over
 }

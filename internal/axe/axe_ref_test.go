@@ -1,17 +1,34 @@
 package axe
 
-import "redcane/internal/tensor"
+import (
+	"redcane/internal/approx"
+	"redcane/internal/tensor"
+)
 
 // Naive reference implementations of the quantized kernels (the
 // pre-GEMM per-pixel loops), retained as oracles. Integer accumulation
 // is associative, so the optimized kernels must match these exactly —
 // equal integer sums feed the identical float epilogue expression, and
 // the tests demand bitwise equality.
+//
+// The oracles call the behavioral multiplier m directly (nil means exact
+// at any wordlength), while the kernels run its compiled LUT, so the
+// comparison also covers LUT compilation. Each oracle also returns its
+// accumulator-overflow count (see accSatMax): a raw sum includes every
+// term the hardware accumulates, padded zero-code products too.
+
+// refMul is the oracles' per-product multiply.
+func refMul(m approx.Multiplier, a, b uint16) int64 {
+	if m == nil {
+		return int64(a) * int64(b)
+	}
+	return int64(m.Mul(uint8(a), uint8(b)))
+}
 
 // quantConv2DRef is the 6-deep per-pixel reference: for every
 // (b, oy, ox, oc) it walks the kernel window, skipping padded taps, and
 // re-derives the valid weight-code sum on border positions.
-func quantConv2DRef[M macMul](m M, x, w, bias *tensor.Tensor, stride, pad int, bits uint) *tensor.Tensor {
+func quantConv2DRef(m approx.Multiplier, x, w, bias *tensor.Tensor, stride, pad int, bits uint) (*tensor.Tensor, int64) {
 	qx, xq := quantizeCodes(x, bits, nil)
 	qw, wq := quantizeCodes(w, bits, nil)
 
@@ -36,11 +53,13 @@ func quantConv2DRef[M macMul](m M, x, w, bias *tensor.Tensor, stride, pad int, b
 
 	sx, mx := qx.Step(), qx.Min
 	sw, mw := qw.Step(), qw.Min
+	satMax := accSatMax(bits)
+	var ovf int64
 	for b := 0; b < n; b++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
 				for oc := 0; oc < spec.OutCh; oc++ {
-					var lutSum, xSum int64
+					var lutSum, xSum, padSum int64
 					var pads int
 					wBase := oc * patch
 					for ci := 0; ci < spec.InCh; ci++ {
@@ -52,11 +71,14 @@ func quantConv2DRef[M macMul](m M, x, w, bias *tensor.Tensor, stride, pad int, b
 								if iy < 0 || iy >= h || ix < 0 || ix >= wd {
 									pads++
 									// A zero *value* operand: x=0 exactly.
-									// Contribution is 0·w = 0; skip.
+									// Contribution is 0·w = 0; skip it,
+									// but the hardware still adds the
+									// zero-code product.
+									padSum += refMul(m, 0, wq[widx])
 									continue
 								}
 								xc := xq[((b*spec.InCh+ci)*h+iy)*wd+ix]
-								lutSum += int64(m.mul(xc, wq[widx]))
+								lutSum += refMul(m, xc, wq[widx])
 								xSum += int64(xc)
 							}
 						}
@@ -78,6 +100,9 @@ func quantConv2DRef[M macMul](m M, x, w, bias *tensor.Tensor, stride, pad int, b
 							}
 						}
 					}
+					if accOverflows(lutSum+padSum, satMax) {
+						ovf++
+					}
 					valid := int64(patch - pads)
 					acc := sx*sw*float64(lutSum) +
 						sx*mw*float64(xSum) +
@@ -91,12 +116,12 @@ func quantConv2DRef[M macMul](m M, x, w, bias *tensor.Tensor, stride, pad int, b
 			}
 		}
 	}
-	return out
+	return out, ovf
 }
 
 // quantCapsVotesRef is the per-vote reference that re-derives the
 // weight-code sum inside the innermost loop.
-func quantCapsVotesRef[M macMul](m M, u, w *tensor.Tensor, bits uint) *tensor.Tensor {
+func quantCapsVotesRef(m approx.Multiplier, u, w *tensor.Tensor, bits uint) (*tensor.Tensor, int64) {
 	qu, uc := quantizeCodes(u, bits, nil)
 	qw, wc := quantizeCodes(w, bits, nil)
 
@@ -105,6 +130,8 @@ func quantCapsVotesRef[M macMul](m M, u, w *tensor.Tensor, bits uint) *tensor.Te
 
 	su, mu := qu.Step(), qu.Min
 	sw, mw := qw.Step(), qw.Min
+	satMax := accSatMax(bits)
+	var ovf int64
 	votes := tensor.New(n, inCaps, outCaps, outDim, 1)
 	for b := 0; b < n; b++ {
 		for i := 0; i < inCaps; i++ {
@@ -118,8 +145,11 @@ func quantCapsVotesRef[M macMul](m M, u, w *tensor.Tensor, bits uint) *tensor.Te
 					wbase := ((i*outCaps+j)*outDim + d) * inDim
 					var lutSum, sumW int64
 					for e := 0; e < inDim; e++ {
-						lutSum += int64(m.mul(uc[ubase+e], wc[wbase+e]))
+						lutSum += refMul(m, uc[ubase+e], wc[wbase+e])
 						sumW += int64(wc[wbase+e])
+					}
+					if accOverflows(lutSum, satMax) {
+						ovf++
 					}
 					acc := su*sw*float64(lutSum) +
 						su*mw*float64(sumU) +
@@ -130,5 +160,5 @@ func quantCapsVotesRef[M macMul](m M, u, w *tensor.Tensor, bits uint) *tensor.Te
 			}
 		}
 	}
-	return votes
+	return votes, ovf
 }

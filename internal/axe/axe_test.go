@@ -23,7 +23,7 @@ func TestQuantConv2DWithExactMultiplierApproximatesFloatConv(t *testing.T) {
 	w := randT(2, 4, 3, 3, 3)
 	b := randT(3, 4)
 	ref := tensor.Conv2D(x, w, b, 1, 1)
-	got := QuantConv2D(x, w, b, 1, 1, approx.Exact{}, 8)
+	got := QuantExact{Bits: 8}.Conv2D("L", x, w, b, 1, 1, nil)
 	if !got.SameShape(ref) {
 		t.Fatalf("shape %v vs %v", got.Shape, ref.Shape)
 	}
@@ -39,7 +39,7 @@ func TestQuantConv2DStride2WithPadding(t *testing.T) {
 	x := randT(4, 1, 2, 7, 7)
 	w := randT(5, 3, 2, 3, 3)
 	ref := tensor.Conv2D(x, w, nil, 2, 1)
-	got := QuantConv2D(x, w, nil, 2, 1, approx.Exact{}, 8)
+	got := QuantExact{Bits: 8}.Conv2D("L", x, w, nil, 2, 1, nil)
 	refRange := ref.Range()
 	for i := range ref.Data {
 		if math.Abs(got.Data[i]-ref.Data[i]) > 0.05*refRange {
@@ -52,8 +52,14 @@ func TestQuantConv2DApproxWorseThanExact(t *testing.T) {
 	x := randT(6, 2, 2, 6, 6)
 	w := randT(7, 3, 2, 3, 3)
 	ref := tensor.Conv2D(x, w, nil, 1, 0)
-	exact := QuantConv2D(x, w, nil, 1, 0, approx.Exact{}, 8)
-	crude := QuantConv2D(x, w, nil, 1, 0, approx.OperandTrunc{ABits: 6, BBits: 6, Compensate: true}, 8)
+	be, err := NewQuantApprox(8, map[string]approx.Multiplier{
+		"L": approx.OperandTrunc{ABits: 6, BBits: 6, Compensate: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := QuantExact{Bits: 8}.Conv2D("L", x, w, nil, 1, 0, nil)
+	crude := be.Conv2D("L", x, w, nil, 1, 0, nil)
 	errOf := func(y *tensor.Tensor) float64 {
 		s := 0.0
 		for i := range ref.Data {
@@ -64,15 +70,6 @@ func TestQuantConv2DApproxWorseThanExact(t *testing.T) {
 	if errOf(crude) <= errOf(exact) {
 		t.Fatalf("crude multiplier not worse: %g vs %g", errOf(crude), errOf(exact))
 	}
-}
-
-func TestQuantConv2DRejectsWideWordlength(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for >8-bit request")
-		}
-	}()
-	QuantConv2D(randT(8, 1, 1, 4, 4), randT(9, 1, 1, 3, 3), nil, 1, 0, approx.Exact{}, 12)
 }
 
 func buildTinyNet(seed uint64) *caps.Network {

@@ -40,12 +40,12 @@ func (QuantExact) ApproxLayer(string) bool { return false }
 
 // Conv2D implements caps.Backend.
 func (b QuantExact) Conv2D(_ string, x, w, bias *tensor.Tensor, stride, pad int, s *tensor.Scratch) *tensor.Tensor {
-	return quantConv2D(exactMul{}, x, w, bias, stride, pad, effBits(b.Bits), s, nil)
+	return quantConv2D(nil, x, w, bias, stride, pad, effBits(b.Bits), s, nil)
 }
 
 // CapsVotes implements caps.Backend.
 func (b QuantExact) CapsVotes(_ string, u, w *tensor.Tensor, s *tensor.Scratch) *tensor.Tensor {
-	return quantCapsVotes(exactMul{}, u, w, effBits(b.Bits), s, nil)
+	return quantCapsVotes(nil, u, w, effBits(b.Bits), s, nil)
 }
 
 // ExactBaseline implements caps.Baseliner: the exact path is its own
@@ -124,20 +124,15 @@ func (b *QuantApprox) ApproxLayer(layer string) bool {
 	return ok
 }
 
-// Conv2D implements caps.Backend.
+// Conv2D implements caps.Backend. Layers without a LUT get a nil one:
+// the exact quantized path.
 func (b *QuantApprox) Conv2D(layer string, x, w, bias *tensor.Tensor, stride, pad int, s *tensor.Scratch) *tensor.Tensor {
-	if lut, ok := b.luts[layer]; ok {
-		return quantConv2D(lutMul{lut}, x, w, bias, stride, pad, b.bits, s, nil)
-	}
-	return quantConv2D(exactMul{}, x, w, bias, stride, pad, b.bits, s, nil)
+	return quantConv2D(b.luts[layer], x, w, bias, stride, pad, b.bits, s, nil)
 }
 
 // CapsVotes implements caps.Backend.
 func (b *QuantApprox) CapsVotes(layer string, u, w *tensor.Tensor, s *tensor.Scratch) *tensor.Tensor {
-	if lut, ok := b.luts[layer]; ok {
-		return quantCapsVotes(lutMul{lut}, u, w, b.bits, s, nil)
-	}
-	return quantCapsVotes(exactMul{}, u, w, b.bits, s, nil)
+	return quantCapsVotes(b.luts[layer], u, w, b.bits, s, nil)
 }
 
 // ExactBaseline implements caps.Baseliner: QuantExact at the same
@@ -158,7 +153,7 @@ type overflowQuantExact struct {
 
 func (b overflowQuantExact) Conv2D(layer string, x, w, bias *tensor.Tensor, stride, pad int, s *tensor.Scratch) *tensor.Tensor {
 	var n int64
-	out := quantConv2D(exactMul{}, x, w, bias, stride, pad, effBits(b.Bits), s, &n)
+	out := quantConv2D(nil, x, w, bias, stride, pad, effBits(b.Bits), s, &n)
 	if n > 0 {
 		b.report(layer, n)
 	}
@@ -167,7 +162,7 @@ func (b overflowQuantExact) Conv2D(layer string, x, w, bias *tensor.Tensor, stri
 
 func (b overflowQuantExact) CapsVotes(layer string, u, w *tensor.Tensor, s *tensor.Scratch) *tensor.Tensor {
 	var n int64
-	out := quantCapsVotes(exactMul{}, u, w, effBits(b.Bits), s, &n)
+	out := quantCapsVotes(nil, u, w, effBits(b.Bits), s, &n)
 	if n > 0 {
 		b.report(layer, n)
 	}
@@ -187,12 +182,7 @@ func (b overflowQuantApprox) ApproxLayer(layer string) bool { return b.inner.App
 
 func (b overflowQuantApprox) Conv2D(layer string, x, w, bias *tensor.Tensor, stride, pad int, s *tensor.Scratch) *tensor.Tensor {
 	var n int64
-	var out *tensor.Tensor
-	if lut, ok := b.inner.luts[layer]; ok {
-		out = quantConv2D(lutMul{lut}, x, w, bias, stride, pad, b.inner.bits, s, &n)
-	} else {
-		out = quantConv2D(exactMul{}, x, w, bias, stride, pad, b.inner.bits, s, &n)
-	}
+	out := quantConv2D(b.inner.luts[layer], x, w, bias, stride, pad, b.inner.bits, s, &n)
 	if n > 0 {
 		b.report(layer, n)
 	}
@@ -201,12 +191,7 @@ func (b overflowQuantApprox) Conv2D(layer string, x, w, bias *tensor.Tensor, str
 
 func (b overflowQuantApprox) CapsVotes(layer string, u, w *tensor.Tensor, s *tensor.Scratch) *tensor.Tensor {
 	var n int64
-	var out *tensor.Tensor
-	if lut, ok := b.inner.luts[layer]; ok {
-		out = quantCapsVotes(lutMul{lut}, u, w, b.inner.bits, s, &n)
-	} else {
-		out = quantCapsVotes(exactMul{}, u, w, b.inner.bits, s, &n)
-	}
+	out := quantCapsVotes(b.inner.luts[layer], u, w, b.inner.bits, s, &n)
 	if n > 0 {
 		b.report(layer, n)
 	}

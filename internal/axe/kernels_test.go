@@ -1,6 +1,8 @@
 package axe
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"redcane/internal/approx"
@@ -13,7 +15,20 @@ import (
 // approximate multipliers may also violate mul(0, c) = 0.
 type weirdMul struct{}
 
-func (weirdMul) mul(a, b uint16) uint32 { return uint32(a)*uint32(b) + uint32(b&7) + 3 }
+func (weirdMul) Mul(a, b uint8) uint16 { return uint16(a)*uint16(b) + uint16(b&7) + 3 }
+
+// kernelProcs are the GOMAXPROCS settings every bitwise check runs
+// under: the inline single-core path, an even split and an uneven one.
+var kernelProcs = []int{1, 2, 3}
+
+// compile returns the kernels' multiplier for m: nil (exact) for a nil
+// m, else its compiled LUT.
+func compile(m approx.Multiplier) *approx.LUT {
+	if m == nil {
+		return nil
+	}
+	return approx.CompileLUT(m)
+}
 
 func requireSameBits(t *testing.T, what string, got, want *tensor.Tensor) {
 	t.Helper()
@@ -27,78 +42,134 @@ func requireSameBits(t *testing.T, what string, got, want *tensor.Tensor) {
 	}
 }
 
-// checkQuantConv runs the optimized kernel against the naive reference
-// for one multiplier over a spread of conv shapes, on both the im2col
-// GEMM path and the forced streaming fallback, with and without scratch.
-func checkQuantConv[M macMul](t *testing.T, name string, m M, bits uint) {
+// forEachProcs runs f under each kernelProcs setting, restoring
+// GOMAXPROCS afterwards.
+func forEachProcs(t *testing.T, f func(procs int)) {
 	t.Helper()
-	cases := []struct {
-		n, c, h, w, oc, k, stride, pad int
-	}{
-		{1, 1, 5, 5, 1, 3, 1, 0},
-		{2, 3, 8, 8, 4, 3, 1, 1},
-		{1, 2, 9, 9, 3, 9, 1, 0},
-		{2, 4, 8, 8, 6, 3, 2, 1},
-		{1, 1, 4, 4, 2, 1, 1, 0},
-		{3, 2, 7, 5, 5, 3, 2, 2},
+	old := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(old)
+	for _, p := range kernelProcs {
+		runtime.GOMAXPROCS(p)
+		f(p)
 	}
-	for i, tc := range cases {
+}
+
+type convCase struct {
+	n, c, h, w, oc, k, stride, pad int
+}
+
+// convCases spans small shapes (below tensor.ParallelRows' 64-row
+// cutoff, so they run inline) and large ones whose n·oh·ow rows are
+// split across workers.
+var convCases = []convCase{
+	{1, 1, 5, 5, 1, 3, 1, 0},
+	{2, 3, 8, 8, 4, 3, 1, 1},
+	{1, 2, 9, 9, 3, 9, 1, 0},
+	{2, 4, 8, 8, 6, 3, 2, 1},
+	{1, 1, 4, 4, 2, 1, 1, 0},
+	{3, 2, 7, 5, 5, 3, 2, 2},
+	{4, 16, 8, 8, 32, 3, 1, 1},
+	{3, 8, 16, 16, 8, 3, 2, 1},
+	{5, 4, 7, 9, 7, 3, 1, 2},
+}
+
+// checkQuantConv runs the kernel against the naive reference for one
+// multiplier (nil = exact) over convCases, under every kernelProcs
+// setting, with and without scratch: outputs and overflow counts must
+// match bit for bit.
+func checkQuantConv(t *testing.T, name string, m approx.Multiplier, bits uint) {
+	t.Helper()
+	lut := compile(m)
+	for i, tc := range convCases {
 		x := randT(uint64(i+1), tc.n, tc.c, tc.h, tc.w)
 		w := randT(uint64(i+100), tc.oc, tc.c, tc.k, tc.k)
 		bias := randT(uint64(i+200), tc.oc)
 		for _, b := range []*tensor.Tensor{bias, nil} {
-			ref := quantConv2DRef(m, x, w, b, tc.stride, tc.pad, bits)
-			requireSameBits(t, name+" gemm", quantConv2D(m, x, w, b, tc.stride, tc.pad, bits, nil, nil), ref)
+			ref, refOvf := quantConv2DRef(m, x, w, b, tc.stride, tc.pad, bits)
+			forEachProcs(t, func(procs int) {
+				what := fmt.Sprintf("%s case %d procs %d", name, i, procs)
+				var ovf int64
+				requireSameBits(t, what, quantConv2D(lut, x, w, b, tc.stride, tc.pad, bits, nil, &ovf), ref)
+				if ovf != refOvf {
+					t.Fatalf("%s: overflow count %d, want %d", what, ovf, refOvf)
+				}
 
-			s := tensor.NewScratch()
-			got := quantConv2D(m, x, w, b, tc.stride, tc.pad, bits, s, nil)
-			requireSameBits(t, name+" gemm scratch", got, ref)
-			s.Release(got)
-			requireSameBits(t, name+" gemm scratch reuse", quantConv2D(m, x, w, b, tc.stride, tc.pad, bits, s, nil), ref)
-
-			old := quantGEMMMaxCols
-			quantGEMMMaxCols = 0 // force the streaming fallback
-			requireSameBits(t, name+" stream", quantConv2D(m, x, w, b, tc.stride, tc.pad, bits, nil, nil), ref)
-			quantGEMMMaxCols = old
+				s := tensor.NewScratch()
+				got := quantConv2D(lut, x, w, b, tc.stride, tc.pad, bits, s, nil)
+				requireSameBits(t, what+" scratch", got, ref)
+				s.Release(got)
+				requireSameBits(t, what+" scratch reuse", quantConv2D(lut, x, w, b, tc.stride, tc.pad, bits, s, nil), ref)
+			})
 		}
 	}
 }
 
-func TestQuantConv2DBitwiseVsRefExact(t *testing.T) { checkQuantConv(t, "exact", exactMul{}, 8) }
+func TestQuantConv2DBitwiseVsRefExact(t *testing.T) { checkQuantConv(t, "exact", nil, 8) }
 
 func TestQuantConv2DBitwiseVsRefExact12Bit(t *testing.T) {
-	checkQuantConv(t, "exact12", exactMul{}, 12)
+	checkQuantConv(t, "exact12", nil, 12)
 }
 
 func TestQuantConv2DBitwiseVsRefLUT(t *testing.T) {
-	lut := approx.CompileLUT(approx.BrokenCarry{Depth: 6, Compensate: true})
-	checkQuantConv(t, "lut", lutMul{lut}, 8)
+	checkQuantConv(t, "lut", approx.BrokenCarry{Depth: 6, Compensate: true}, 8)
 }
 
 func TestQuantConv2DBitwiseVsRefWeirdMul(t *testing.T) {
-	// mul(0, c) ≠ 0: the padded-zero correction must be exact.
+	// mul(0, c) ≠ 0: the padded-zero correction must be exact, on the
+	// same LUT loop approximate layers run in production.
 	checkQuantConv(t, "weird", weirdMul{}, 8)
 }
 
+func TestQuantConv2DOverflowCountsVsRef(t *testing.T) {
+	// 4-bit operands over 80·3·3 = 720 taps: interior raw sums overflow
+	// the modeled accumulator and border ones do not, so the count is
+	// neither 0 nor all.
+	x := randT(60, 2, 80, 6, 6)
+	w := randT(61, 8, 80, 3, 3)
+	for _, m := range []approx.Multiplier{nil, weirdMul{}} {
+		_, refOvf := quantConv2DRef(m, x, w, nil, 1, 1, 4)
+		if refOvf == 0 || refOvf == 2*8*6*6 {
+			t.Fatalf("%v: reference overflow count %d does not exercise the check", m, refOvf)
+		}
+		forEachProcs(t, func(procs int) {
+			var ovf int64
+			quantConv2D(compile(m), x, w, nil, 1, 1, 4, nil, &ovf)
+			if ovf != refOvf {
+				t.Fatalf("%v procs %d: overflow count %d, want %d", m, procs, ovf, refOvf)
+			}
+		})
+	}
+}
+
 func TestQuantCapsVotesBitwiseVsRef(t *testing.T) {
-	u := randT(31, 3, 18, 8)
-	w := randT(32, 18, 10, 16, 8)
 	for _, tc := range []struct {
-		name string
-		run  func() (*tensor.Tensor, *tensor.Tensor)
+		name                          string
+		n, inCaps, inDim, outCaps, od int
+		bits                          uint
 	}{
-		{"exact", func() (*tensor.Tensor, *tensor.Tensor) {
-			return quantCapsVotes(exactMul{}, u, w, 8, nil, nil), quantCapsVotesRef(exactMul{}, u, w, 8)
-		}},
-		{"lut", func() (*tensor.Tensor, *tensor.Tensor) {
-			m := lutMul{approx.CompileLUT(approx.BrokenCarry{Depth: 4})}
-			return quantCapsVotes(m, u, w, 8, nil, nil), quantCapsVotesRef(m, u, w, 8)
-		}},
-		{"weird", func() (*tensor.Tensor, *tensor.Tensor) {
-			return quantCapsVotes(weirdMul{}, u, w, 8, nil, nil), quantCapsVotesRef(weirdMul{}, u, w, 8)
-		}},
+		{"small", 3, 18, 8, 10, 16, 8},
+		// DeepCaps' ClassCaps: 8 capsule types on a 2×2 plane, 8-D, into
+		// 10 16-D class capsules; n·inCaps = 128 rows go parallel.
+		{"deepcaps", 4, 32, 8, 10, 16, 8},
+		// 4-bit codes over 1000 terms overflow the modeled accumulator.
+		{"overflow", 2, 40, 1000, 3, 4, 4},
 	} {
-		got, want := tc.run()
-		requireSameBits(t, "votes "+tc.name, got, want)
+		u := randT(31, tc.n, tc.inCaps, tc.inDim)
+		w := randT(32, tc.inCaps, tc.outCaps, tc.od, tc.inDim)
+		for _, m := range []approx.Multiplier{nil, approx.BrokenCarry{Depth: 4}, weirdMul{}} {
+			want, refOvf := quantCapsVotesRef(m, u, w, tc.bits)
+			if tc.name == "overflow" && refOvf == 0 {
+				t.Fatalf("%s %v: reference counted no overflows", tc.name, m)
+			}
+			lut := compile(m)
+			forEachProcs(t, func(procs int) {
+				what := fmt.Sprintf("votes %s %v procs %d", tc.name, m, procs)
+				var ovf int64
+				requireSameBits(t, what, quantCapsVotes(lut, u, w, tc.bits, nil, &ovf), want)
+				if ovf != refOvf {
+					t.Fatalf("%s: overflow count %d, want %d", what, ovf, refOvf)
+				}
+			})
+		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 func TestQuantClassCapsVotesMatchesFloatWithExactMultiplier(t *testing.T) {
 	u := randT(20, 2, 6, 4)
 	w := tensor.New(6, 3, 8, 4).FillGlorot(tensor.NewRNG(21), 4, 8)
-	got := QuantClassCapsVotes(u, w, approx.Exact{}, 8)
+	got := QuantExact{Bits: 8}.CapsVotes("L", u, w, nil)
 
 	// Float reference via the inference layer's own vote computation:
 	// run ClassCaps with identity routing (1 iteration) is not directly

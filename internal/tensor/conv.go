@@ -166,7 +166,7 @@ func conv2DGEMM(x, w, b *Tensor, stride, pad int, s *Scratch) *Tensor {
 	out := New(n, spec.OutCh, oh, ow)
 	rows := oh * ow
 	oc8 := spec.OutCh &^ 7
-	parallelRows(n*rows, func(r0, r1 int) {
+	ParallelRows(n*rows, func(r0, r1 int) {
 		var dots [8]float64
 		for r := r0; r < r1; r++ {
 			bIdx, p := r/rows, r%rows

@@ -120,7 +120,7 @@ func TestMatVecTBitwiseVsRef(t *testing.T) {
 }
 
 func TestMatMulDeterministicAcrossWorkers(t *testing.T) {
-	// parallelRows splits by GOMAXPROCS; results must not depend on it.
+	// ParallelRows splits by GOMAXPROCS; results must not depend on it.
 	a := New(128, 33).FillNormal(NewRNG(1), 0, 1)
 	b := New(128, 17).FillNormal(NewRNG(2), 0, 1)
 	c := New(9, 17).FillNormal(NewRNG(3), 0, 1)

@@ -85,7 +85,7 @@ func MatMulScratch(a, b *Tensor, s *Scratch) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul inner dims %d vs %d", k, k2))
 	}
 	out := s.TakeZero(m, n)
-	parallelRows(m, func(i0, i1 int) {
+	ParallelRows(m, func(i0, i1 int) {
 		for i := i0; i < i1; i++ {
 			arow := a.Data[i*k : (i+1)*k]
 			orow := out.Data[i*n : (i+1)*n : (i+1)*n]
@@ -124,7 +124,7 @@ func MatMulTScratch(a, b *Tensor, s *Scratch) *Tensor {
 	}
 	out := s.Take(m, n)
 	n8 := n &^ 7
-	parallelRows(m, func(i0, i1 int) {
+	ParallelRows(m, func(i0, i1 int) {
 		for i := i0; i < i1; i++ {
 			arow := a.Data[i*k : (i+1)*k]
 			orow := out.Data[i*n : (i+1)*n : (i+1)*n]
@@ -165,7 +165,7 @@ func MatMulAT(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulAT outer dims %d vs %d", k, k2))
 	}
 	out := New(m, n)
-	parallelRows(m, func(i0, i1 int) {
+	ParallelRows(m, func(i0, i1 int) {
 		for p := 0; p < k; p++ {
 			arow := a.Data[p*m : (p+1)*m]
 			brow := b.Data[p*n : (p+1)*n : (p+1)*n]
@@ -184,9 +184,11 @@ func MatMulAT(a, b *Tensor) *Tensor {
 	return out
 }
 
-// parallelRows splits [0, n) into contiguous chunks and runs body on each
-// chunk, using up to GOMAXPROCS goroutines. Small n runs inline.
-func parallelRows(n int, body func(lo, hi int)) {
+// ParallelRows splits [0, n) into contiguous chunks and runs body on each
+// chunk, using up to GOMAXPROCS goroutines. Small n (below 64) runs
+// inline as one chunk. Chunks run concurrently, so body must write only
+// to rows it owns.
+func ParallelRows(n int, body func(lo, hi int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
