@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint bench clean
+.PHONY: build test race vet lint bench loc clean
 
 build:
 	$(GO) build ./...
@@ -23,10 +23,15 @@ lint: vet
 		echo "staticcheck not installed; skipped (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-# bench runs the kernel + sweep-engine benchmarks and writes BENCH_1.json
-# (ns/op per benchmark plus engine-vs-naive sweep speedups).
+# bench runs the kernel + sweep-engine benchmarks and writes BENCH_local.json
+# (ns/op per benchmark plus engine-vs-naive sweep speedups). The recorded
+# BENCH_<n>.json baselines are history and are never overwritten.
 bench:
-	sh scripts/bench.sh BENCH_1.json
+	sh scripts/bench.sh BENCH_local.json
+
+# loc prints the code-size yardstick: non-test Go lines outside perfbench/.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^perfbench/' | xargs cat | wc -l
 
 clean:
 	rm -rf .redcane-cache

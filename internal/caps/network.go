@@ -184,41 +184,25 @@ func (n *Network) ForwardExec(x *tensor.Tensor, inj noise.Injector, be Backend) 
 	return n.forwardRange(0, len(n.Layers), x, inj, s, be, "full")
 }
 
-// ForwardTo runs only the prefix layers [0, k) — the clean-prefix half of
-// a split forward pass. ForwardTo(k, x, noise.None{}) followed by
-// ForwardFrom(k, ·, inj) is bit-identical to Forward(x, inj) whenever inj
-// is inactive on every site before layer k (see Network.InjectionFrontier).
-func (n *Network) ForwardTo(k int, x *tensor.Tensor, inj noise.Injector) *tensor.Tensor {
-	return n.ForwardToExec(k, x, inj, Float{})
-}
-
-// ForwardToExec is ForwardTo under an execution backend. For backends
-// whose frontier (see BackendFrontier) is at or beyond k, the prefix is
-// bit-identical to the backend's BaseID baseline and may be cached across
-// designs sharing that baseline.
+// ForwardToExec runs only the prefix layers [0, k) under an execution
+// backend — the clean-prefix half of a split forward pass.
+// ForwardToExec(k, x, noise.None{}, be) followed by ForwardFromExec(k, ·,
+// inj, s, be) is bit-identical to ForwardExec(x, inj, be) whenever inj is
+// inactive on every site before layer k (see Network.InjectionFrontier).
+// For backends whose frontier (see BackendFrontier) is at or beyond k,
+// the prefix is bit-identical to the backend's BaseID baseline and may be
+// cached across designs sharing that baseline.
 func (n *Network) ForwardToExec(k int, x *tensor.Tensor, inj noise.Injector, be Backend) *tensor.Tensor {
 	s := scratchPool.Get().(*tensor.Scratch)
 	defer scratchPool.Put(s)
 	return n.forwardRange(0, k, x, inj, s, be, "prefix")
 }
 
-// ForwardFrom runs the suffix layers [k, len(Layers)) on x, which must be
-// the activation produced at boundary k (e.g. by ForwardTo). The sweep
+// ForwardFromExec runs the suffix layers [k, len(Layers)) on x under an
+// execution backend, with a caller-owned scratch arena; x must be the
+// activation produced at boundary k (e.g. by ForwardToExec). The sweep
 // engine replays cached clean prefixes through this entry point. x is
 // never mutated, so one cached activation can be replayed many times.
-func (n *Network) ForwardFrom(k int, x *tensor.Tensor, inj noise.Injector) *tensor.Tensor {
-	s := scratchPool.Get().(*tensor.Scratch)
-	defer scratchPool.Put(s)
-	return n.ForwardFromExec(k, x, inj, s, Float{})
-}
-
-// ForwardFromScratch is ForwardFrom with a caller-owned scratch arena,
-// for worker loops that evaluate many batches back to back.
-func (n *Network) ForwardFromScratch(k int, x *tensor.Tensor, inj noise.Injector, s *tensor.Scratch) *tensor.Tensor {
-	return n.ForwardFromExec(k, x, inj, s, Float{})
-}
-
-// ForwardFromExec is ForwardFromScratch under an execution backend.
 func (n *Network) ForwardFromExec(k int, x *tensor.Tensor, inj noise.Injector, s *tensor.Scratch, be Backend) *tensor.Tensor {
 	return n.forwardRange(k, len(n.Layers), x, inj, s, be, forwardKind(k))
 }

@@ -5,6 +5,7 @@ import (
 
 	"redcane/internal/noise"
 	"redcane/internal/obs"
+	"redcane/internal/tensor"
 )
 
 func TestForwardTimingNeverAltersResults(t *testing.T) {
@@ -35,8 +36,8 @@ func TestForwardTimersSplitByPassKind(t *testing.T) {
 
 	net.Forward(x, noise.None{})
 	k := 2
-	prefix := net.ForwardTo(k, x, noise.None{})
-	net.ForwardFrom(k, prefix, noise.None{})
+	prefix := net.ForwardToExec(k, x, noise.None{}, Float{})
+	net.ForwardFromExec(k, prefix, noise.None{}, tensor.NewScratch(), Float{})
 
 	snap := o.Metrics().Snapshot()
 	// Full pass: every layer once. Prefix: layers [0, k). Suffix: [k, n).
@@ -52,8 +53,8 @@ func TestForwardTimersSplitByPassKind(t *testing.T) {
 			t.Errorf("%s timer for %s count = %d, want 1", kind, l.Name(), c)
 		}
 	}
-	// ForwardFrom(0, ...) is a full pass, not a suffix replay.
-	net.ForwardFrom(0, x, noise.None{})
+	// ForwardFromExec(0, ...) is a full pass, not a suffix replay.
+	net.ForwardFromExec(0, x, noise.None{}, tensor.NewScratch(), Float{})
 	snap = o.Metrics().Snapshot()
 	if c := snap.Timers["caps.forward.full."+net.Layers[0].Name()].Count; c != 2 {
 		t.Errorf("boundary-0 replay not counted as full: count = %d, want 2", c)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"redcane/internal/noise"
+	"redcane/internal/tensor"
 )
 
 // parallelTestNet builds a small network with a conv stem, a capsule cell
@@ -29,8 +30,8 @@ func TestForwardFromAdjoint(t *testing.T) {
 	x := rt(20, 5, 1, 8, 8)
 	want := net.Forward(x, noise.None{})
 	for k := 0; k <= len(net.Layers); k++ {
-		prefix := net.ForwardTo(k, x, noise.None{})
-		got := net.ForwardFrom(k, prefix, noise.None{})
+		prefix := net.ForwardToExec(k, x, noise.None{}, Float{})
+		got := net.ForwardFromExec(k, prefix, noise.None{}, tensor.NewScratch(), Float{})
 		if !got.SameShape(want) {
 			t.Fatalf("k=%d: shape %v vs %v", k, got.Shape, want.Shape)
 		}
@@ -55,8 +56,8 @@ func TestForwardFromMatchesFullForwardUnderInjection(t *testing.T) {
 			t.Fatalf("frontier for %s = %d", layer, k)
 		}
 		want := net.Forward(x, noise.NewGaussian(0.1, 0, filter, 99))
-		prefix := net.ForwardTo(k, x, noise.None{})
-		got := net.ForwardFrom(k, prefix, noise.NewGaussian(0.1, 0, filter, 99))
+		prefix := net.ForwardToExec(k, x, noise.None{}, Float{})
+		got := net.ForwardFromExec(k, prefix, noise.NewGaussian(0.1, 0, filter, 99), tensor.NewScratch(), Float{})
 		for i := range want.Data {
 			if got.Data[i] != want.Data[i] {
 				t.Fatalf("layer %s: suffix replay diverged at %d", layer, i)

@@ -116,3 +116,63 @@ func TestFingerprintStableAndDistinct(t *testing.T) {
 		t.Fatalf("fingerprint length %d", len(Fingerprint("a")))
 	}
 }
+
+// sweepSection mirrors the sweep engine's checkpointed window progress.
+type sweepSection struct {
+	Correct     []int `json:"correct"`
+	BatchesDone int   `json:"batches_done"`
+	Done        bool  `json:"done"`
+}
+
+// FuzzCheckpointOpen feeds arbitrary bytes to Open as the checkpoint
+// file. Open plus Get must never panic: a file either fails to parse —
+// an error plus a fresh, empty store — or decodes, and either way the
+// store must accept a Put that a later Open reads back.
+func FuzzCheckpointOpen(f *testing.F) {
+	const name, seed = "capsnet-mnist-like-quick", 42
+	fp := Fingerprint("opts-v1")
+	dir := f.TempDir()
+	st, _, err := Open(dir, name, seed, fp)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := st.Put("sweep-1", sweepSection{Correct: []int{3, 1, 4}, BatchesDone: 2}); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(st.Path())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	for _, cut := range []int{1, len(valid) / 3, len(valid) / 2, len(valid) - 2} {
+		f.Add(valid[:cut])
+	}
+	f.Add([]byte(`{"version":1,"name":"capsnet-mnist-like-quick","seed":42,"fingerprint":"` + fp +
+		`","sections":{"sweep-1":{"correct":"x","batches_done":-1},"sweep-2":null}}`))
+	f.Add([]byte(`{"sections":[]}`))
+	f.Add([]byte(`null`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(Path(dir, name, seed, fp), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, resumed, err := Open(dir, name, seed, fp)
+		if st == nil {
+			t.Fatal("Open returned a nil store")
+		}
+		var sec sweepSection
+		got := st.Get("sweep-1", &sec)
+		st.Get("sweep-2", &sec)
+		if err != nil && (resumed || got) {
+			t.Fatalf("parse error %v yet resumed=%v section=%v", err, resumed, got)
+		}
+		if err := st.Put("probe", sweepSection{Correct: []int{1}, Done: true}); err != nil {
+			t.Fatal(err)
+		}
+		back, resumed, err := Open(dir, name, seed, fp)
+		if err != nil || !resumed || !back.Get("probe", &sec) || !sec.Done {
+			t.Fatalf("store did not round-trip after Put: resumed=%v err=%v section=%+v", resumed, err, sec)
+		}
+	})
+}

@@ -2,23 +2,20 @@ package core
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
 	"redcane/internal/approx"
 	"redcane/internal/axe"
 	"redcane/internal/caps"
 	"redcane/internal/noise"
 	"redcane/internal/obs"
-	"redcane/internal/tensor"
 )
 
 // This file closes the methodology's model-vs-reality loop: a Step 6
 // design (a []Choice) compiles into an execution backend that runs the
-// chosen multipliers bit-accurately, and EvalBackend measures it with
-// the same engine the noise sweeps use — workers, prefix caching over
-// the exact prefix before the first approximate site, checkpoint/resume,
-// and telemetry spans.
+// chosen multipliers bit-accurately, and EvalBackend measures it as a
+// single-evaluation run of the window executor the noise sweeps use
+// (runWindows) — workers, prefix caching over the exact prefix before the
+// first approximate site, checkpoint/resume, probes and telemetry.
 
 // MACAssignments extracts a design's per-layer multiplier assignments:
 // the MAC-output choices, which are the only Table III group a
@@ -45,24 +42,20 @@ func DesignBackend(choices []Choice, bits uint) (caps.Backend, error) {
 	return axe.NewQuantApprox(bits, MACAssignments(choices))
 }
 
-// EvalBackend measures test accuracy under the given execution backend.
-// It mirrors the sweep engine's evaluation loop: batches run as
-// independent jobs over the worker pool (bit-identical for any worker
-// count), the exact prefix before the backend's first approximate layer
-// is computed once per window and replayed, cancellation stops at a
-// window boundary, and with a non-nil a.Checkpoint the per-window
-// correct-counts persist under the given section key so an interrupted
-// evaluation resumes where it left off. Distinct backends must use
-// distinct section keys.
+// EvalBackend measures test accuracy under the given execution backend
+// as a noiseless, single-evaluation run of the window executor: batches
+// run as independent jobs over the worker pool (bit-identical for any
+// worker count), the exact prefix before the backend's first approximate
+// layer is computed once per window and replayed, cancellation stops at a
+// window boundary, a worker panic surfaces as a *JobPanicError with Point
+// -1, and with a non-nil a.Checkpoint the correct-count persists under
+// the given section key so an interrupted evaluation resumes where it
+// left off. Distinct backends must use distinct section keys.
 func (a *Analyzer) EvalBackend(ctx context.Context, be caps.Backend, section string) (float64, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if be == nil {
 		be = caps.Float{}
 	}
 	a.Opts = a.Opts.WithDefaults()
-	o := a.Opts
 	// The analyzer's softmax/squash variants apply to backend evaluations
 	// too, so a design measured under an approximate nonlinearity is
 	// compared against sweeps run under the same one.
@@ -70,148 +63,41 @@ func (a *Analyzer) EvalBackend(ctx context.Context, be caps.Backend, section str
 	if err != nil {
 		return 0, err
 	}
-	x, y := a.evalData()
-	n := x.Shape[0]
+	n, nb := a.evalSize()
 	if n == 0 {
 		return 0, nil
 	}
-	nb := (n + o.Batch - 1) / o.Batch
-	frontier := a.Net.BackendFrontier(be)
-
+	r := windowRun{
+		key: section, evals: []evalIdx{{-1, -1}}, n: n, nb: nb,
+		frontier: a.Net.BackendFrontier(be), be: be,
+		inject: func(evalIdx, int) noise.Injector { return noise.None{} },
+	}
 	sp := a.Obs.StartSpan("backend.eval",
-		obs.F("backend", be.Name()), obs.F("frontier", frontier), obs.F("section", section))
+		obs.F("backend", be.Name()), obs.F("frontier", r.frontier), obs.F("section", section))
 	defer sp.End()
 
-	// Numeric-health probes (opt-in, inert): the reference for SQNR is
-	// the backend's own exact baseline (caps.Baseliner) — e.g. QuantExact
-	// at the same wordlength for a QuantApprox design. A backend that is
-	// its own baseline skips the reference pass; its probes carry ranges,
-	// moments and overflow counts only. Probing bypasses the prefix
-	// replay (jobs run the full forward, which the replay guarantee makes
-	// bit-identical) so every layer's MAC outputs cross the probe seam,
-	// not just the suffix after the first approximate site.
-	probing := a.Probes != nil
-	var probeAcc *probeAccum
-	var refBe caps.Backend
-	if probing {
-		probeAcc = newProbeAccum()
-		refBe = be
-		if bl, ok := be.(caps.Baseliner); ok {
-			refBe = bl.ExactBaseline()
-		}
-		frontier = 0
-	}
-
-	correct := make([]int, 1)
-	startBatch := 0
-	if a.Checkpoint != nil {
-		var st sweepState
-		if a.Checkpoint.Get(section, &st) && len(st.Correct) == 1 &&
-			st.BatchesDone >= 0 && st.BatchesDone <= nb {
-			copy(correct, st.Correct)
-			startBatch = st.BatchesDone
-			if st.Done {
-				startBatch = nb
-			}
-			a.Obs.Info("backend eval resumed from checkpoint",
-				obs.F("section", section),
-				obs.F("batches", fmt.Sprintf("%d/%d", startBatch, nb)))
-			if probing && startBatch > 0 {
-				// Probe stats are never checkpointed, so they can only
-				// cover the windows this process actually runs.
-				a.Obs.Warn("probe stats cover only the un-resumed windows",
-					obs.F("section", section), obs.F("skipped_batches", startBatch))
-			}
-		}
-	}
-
-	window := a.prefixWindow(frontier, nb)
-	for b0 := startBatch; b0 < nb; b0 += window {
-		if err := ctx.Err(); err != nil {
-			a.Obs.Warn("backend eval cancelled",
-				obs.F("section", section),
-				obs.F("batches", fmt.Sprintf("%d/%d", b0, nb)))
-			return 0, err
-		}
-		b1 := b0 + window
-		if b1 > nb {
-			b1 = nb
-		}
-		acts, err := a.prefixActivations(ctx, frontier, x, b0, b1, nb, be)
-		if err != nil {
-			return 0, err
-		}
-		jobCorrect := make([]int, b1-b0)
-		var jobProbes []*caps.ProbeRecorder
-		if probing {
-			jobProbes = make([]*caps.ProbeRecorder, len(jobCorrect))
-		}
-		err = runJobs(ctx, a.Obs, o.sweepWorkers(), len(jobCorrect), func(j int, s *tensor.Scratch) {
-			bi := b0 + j
-			var pred []int
-			if probing {
-				rec := caps.NewProbeRecorder()
-				if refBe.Name() != be.Name() {
-					rec.StartReference()
-					a.Net.ClassifyFromExec(frontier, acts[j], noise.None{}, s, caps.NewProbeBackend(refBe, rec))
-				}
-				rec.StartObserve()
-				pred = a.Net.ClassifyFromExec(frontier, acts[j], noise.None{}, s, caps.NewProbeBackend(be, rec))
-				jobProbes[j] = rec
-			} else {
-				pred = a.Net.ClassifyFromExec(frontier, acts[j], noise.None{}, s, be)
-			}
-			lo := bi * o.Batch
-			c := 0
-			for i, p := range pred {
-				if p == y[lo+i] {
-					c++
-				}
-			}
-			jobCorrect[j] = c
-		})
-		if err != nil {
-			var wp *workerPanic
-			if errors.As(err, &wp) {
-				return 0, &JobPanicError{Point: -1, Trial: -1, Batch: b0 + wp.Job, Value: wp.Value, Stack: wp.Stack}
-			}
-			a.Obs.Warn("backend eval cancelled",
-				obs.F("section", section),
-				obs.F("batches", fmt.Sprintf("%d/%d", b0, nb)))
-			return 0, err
-		}
-		for _, c := range jobCorrect {
-			correct[0] += c
-		}
-		if probing {
-			// Ascending job order within ascending windows: bit-identical
-			// aggregation for any worker count.
-			for _, rec := range jobProbes {
-				if rec != nil {
-					probeAcc.merge(rec.Layers())
-				}
-			}
-		}
-		if a.Checkpoint != nil {
-			a.checkpointPut(section, sweepState{Correct: correct, BatchesDone: b1, Done: b1 == nb})
-		}
-		if a.afterWindow != nil {
-			a.afterWindow(b1, nb)
-		}
-	}
-	if a.Checkpoint != nil && startBatch < nb {
-		a.checkpointPut(section, sweepState{Correct: correct, BatchesDone: nb, Done: true})
-	}
-	if probing && len(probeAcc.layers) > 0 {
+	if a.Probes != nil {
+		// Numeric-health probes (opt-in, inert): the reference for SQNR is
+		// the backend's own exact baseline (caps.Baseliner) — e.g.
+		// QuantExact at the same wordlength for a QuantApprox design. A
+		// backend that is its own baseline skips the reference pass.
+		// Probing bypasses the prefix replay (jobs run the full forward,
+		// which the replay guarantee makes bit-identical) so every layer's
+		// MAC outputs cross the probe seam, not just the suffix after the
+		// first approximate site.
 		label := a.ProbeLabel
 		if label == "" {
 			label = "backend/" + be.Name()
 		}
-		a.Probes.add(ProbeSweep{
-			Label:   label,
-			Backend: be.Name(),
-			Points:  []ProbePoint{{NM: 0, Layers: probeAcc.emit()}},
-		})
+		r.probe = &probeRun{label: label}
+		if bl, ok := be.(caps.Baseliner); ok && bl.ExactBaseline().Name() != be.Name() {
+			r.probe.ref = bl.ExactBaseline()
+		}
+		r.frontier = 0
+	}
+	correct, err := a.runWindows(ctx, r)
+	if err != nil {
+		return 0, err
 	}
 	return float64(correct[0]) / float64(n), nil
 }

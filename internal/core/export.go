@@ -15,19 +15,14 @@ type exportedReport struct {
 	CleanAccuracy     float64          `json:"clean_accuracy"`
 	ValidatedAccuracy float64          `json:"validated_accuracy"`
 	MulEnergySaving   float64          `json:"mul_energy_saving"`
-	Groups            []exportedGroup  `json:"groups"`
-	Layers            []exportedLayer  `json:"layers,omitempty"`
+	Groups            []exportedScope  `json:"groups"`
+	Layers            []exportedScope  `json:"layers,omitempty"`
 	Choices           []exportedChoice `json:"choices"`
 }
 
-type exportedGroup struct {
-	Group       string  `json:"group"`
-	ToleratedNM float64 `json:"tolerated_nm"`
-	Resilient   bool    `json:"resilient"`
-}
-
-type exportedLayer struct {
-	Layer       string  `json:"layer"`
+// exportedScope is one group (no layer) or one layer of the report.
+type exportedScope struct {
+	Layer       string  `json:"layer,omitempty"`
 	Group       string  `json:"group"`
 	ToleratedNM float64 `json:"tolerated_nm"`
 	Resilient   bool    `json:"resilient"`
@@ -53,12 +48,12 @@ func exportReport(r *Report) exportedReport {
 		MulEnergySaving:   r.MulEnergySaving,
 	}
 	for _, g := range r.Groups {
-		e.Groups = append(e.Groups, exportedGroup{
+		e.Groups = append(e.Groups, exportedScope{
 			Group: g.Group.String(), ToleratedNM: g.ToleratedNM, Resilient: g.Resilient,
 		})
 	}
 	for _, l := range r.Layers {
-		e.Layers = append(e.Layers, exportedLayer{
+		e.Layers = append(e.Layers, exportedScope{
 			Layer: l.Layer, Group: l.Group.String(),
 			ToleratedNM: l.ToleratedNM, Resilient: l.Resilient,
 		})

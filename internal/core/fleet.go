@@ -3,23 +3,21 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
-	"redcane/internal/caps"
 	"redcane/internal/noise"
 	"redcane/internal/obs"
 )
 
-// This file is the engine's distribution seam. A sweep is a pure fold of
-// integer correct-counts over (point, trial, batch) jobs whose noise is a
-// counter-seeded function of (Options.Seed, seedBase, point, trial,
-// batch) — no state flows between jobs — so any process that can rebuild
-// the network and evaluation split can compute any batch window's counts
-// bit-identically. The Fleet interface hands contiguous batch windows to
-// such remote processes and streams their per-(point, trial) counts
-// back; the coordinator folds them in ascending window order through the
-// same checkpointed accumulator the local loop uses, which is what makes
-// an N-worker fleet's artifacts byte-identical to a single-process run.
+// This file is the engine's distribution seam. A sweep's per-batch
+// correct-counts are a counter-seeded function of (Options.Seed,
+// seedBase, point, trial, batch) — no state flows between jobs — so any
+// process that can rebuild the network and evaluation split can compute
+// any batch's counts bit-identically. The Fleet interface leases
+// one-batch windows to such remote processes and streams their counts
+// back; the coordinator hands that stream to the same window executor
+// the local path uses (runWindows), which folds it in ascending batch
+// order through the same checkpoint. That is what makes an N-worker
+// fleet's artifacts byte-identical to a single-process run.
 
 // SweepScope names a sweep's site filter in wire-friendly form: the
 // Table III group plus, for layer-wise sweeps, the layer. It is the
@@ -83,8 +81,6 @@ type SweepJob struct {
 	// correct counts (the last batch is usually short of Opts.Batch); the
 	// coordinator uses it to reject impossible completions.
 	Examples int `json:"examples"`
-	// Window is the lease granularity in batches (>= 1).
-	Window int `json:"window"`
 }
 
 // WindowResult is one completed batch window [B0, B1): the per-(point,
@@ -97,8 +93,8 @@ type WindowResult struct {
 }
 
 // Fleet distributes a sweep's batch windows to remote executors.
-// RunSweep must deliver every window of [start, job.NB) exactly once, in
-// any order, then close the channel; when ctx is cancelled it may close
+// RunSweep must deliver every one-batch window of [start, job.NB) exactly
+// once, in any order, then close the channel; when ctx is cancelled it may close
 // the channel early. The coordinator owns ordering and folding — a Fleet
 // only moves windows out and counts back.
 type Fleet interface {
@@ -116,37 +112,24 @@ func (a *Analyzer) EvalWindow(ctx context.Context, scope SweepScope, seedBase ui
 		ctx = context.Background()
 	}
 	a.Opts = a.Opts.WithDefaults()
-	o := a.Opts
-	if _, err := o.Noise.Normalize(); err != nil {
-		return nil, err
-	}
 	filter, err := scope.Filter()
 	if err != nil {
 		return nil, err
 	}
-	be, err := a.execBackend(caps.Float{})
+	r, err := a.sweepRun(filter, seedBase)
 	if err != nil {
 		return nil, err
 	}
-	x, y := a.evalData()
-	n := x.Shape[0]
-	nb := (n + o.Batch - 1) / o.Batch
-	if b0 < 0 || b1 <= b0 || b1 > nb {
-		return nil, fmt.Errorf("window [%d, %d) out of range (nb=%d)", b0, b1, nb)
+	if b0 < 0 || b1 <= b0 || b1 > r.nb {
+		return nil, fmt.Errorf("window [%d, %d) out of range (nb=%d)", b0, b1, r.nb)
 	}
-	frontier := a.Net.InjectionFrontier(filter)
-	if nf := a.Net.BackendFrontier(be); nf < frontier {
-		frontier = nf
-	}
-	evals := sweepEvals(o)
-	jobCorrect, _, err := a.windowJobs(ctx, filter, evals, x, y, frontier, seedBase, b0, b1, nb, false, be)
+	w, err := a.windowJobs(ctx, r, b0, b1)
 	if err != nil {
 		return nil, err
 	}
-	nbw := b1 - b0
-	out := make([]int, len(evals))
-	for j, c := range jobCorrect {
-		out[j/nbw] += c
+	out := make([]int, len(r.evals))
+	for j, c := range w.correct {
+		out[j/(b1-b0)] += c
 	}
 	return out, nil
 }
@@ -158,8 +141,7 @@ func (a *Analyzer) EvalWindow(ctx context.Context, scope SweepScope, seedBase ui
 func (a *Analyzer) SweepGrid() (evals, nb int) {
 	o := a.Opts.WithDefaults()
 	x, _ := a.evalData()
-	n := x.Shape[0]
-	return len(sweepEvals(o)), (n + o.Batch - 1) / o.Batch
+	return len(sweepEvals(o)), (x.Shape[0] + o.Batch - 1) / o.Batch
 }
 
 // sweepScoped runs one named sweep: through the fleet when the analyzer
@@ -177,106 +159,27 @@ func (a *Analyzer) sweepScoped(ctx context.Context, scope SweepScope, clean floa
 	return a.sweepFleet(ctx, scope, clean, seedBase)
 }
 
-// sweepFleet is the coordinator side of a distributed sweep. It reuses
-// the local path's checkpoint format and key ("sweep-<seedBase>", prefix
-// of completed batches): windows may complete out of order, so results
-// are buffered and folded in ascending window order, each contiguous
-// prefix extension checkpointed exactly as the local loop would — a
-// coordinator restart resumes after the last contiguous window, and a
-// fleet run can resume a local checkpoint (and vice versa).
+// sweepFleet is the coordinator side of a distributed sweep: the same
+// run as the local sweep, under the same checkpoint key, with its windows
+// leased to a.Fleet. A coordinator restart resumes after the last
+// contiguous window, and a fleet run can resume a local checkpoint (and
+// vice versa).
 func (a *Analyzer) sweepFleet(ctx context.Context, scope SweepScope, clean float64, seedBase uint64) ([]SweepPoint, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	o := a.Opts
-	x, _ := a.evalData()
-	n := x.Shape[0]
-	nb := (n + o.Batch - 1) / o.Batch
+	n, nb := a.evalSize()
 	evals := sweepEvals(o)
-	correct := make([]int, len(evals))
 	if a.Probes != nil {
 		// Probe recorders live on the workers' passes and never travel the
 		// wire; a distributed sweep records no probe stats.
 		a.Obs.Warn("probes are not collected over a fleet", obs.F("sweep", scope.String()))
 	}
-
-	ckey := fmt.Sprintf("sweep-%d", seedBase)
-	startBatch := 0
-	if a.Checkpoint != nil {
-		var st sweepState
-		if a.Checkpoint.Get(ckey, &st) && len(st.Correct) == len(evals) &&
-			st.BatchesDone >= 0 && st.BatchesDone <= nb {
-			copy(correct, st.Correct)
-			startBatch = st.BatchesDone
-			if st.Done {
-				startBatch = nb
-			}
-			a.Obs.Info("fleet sweep resumed from checkpoint",
-				obs.F("sweep", ckey),
-				obs.F("batches", fmt.Sprintf("%d/%d", startBatch, nb)))
-		}
+	key := fmt.Sprintf("sweep-%d", seedBase)
+	correct, err := a.runWindows(ctx, windowRun{key: key, evals: evals, n: n, nb: nb, fleet: &SweepJob{
+		Key: key, SeedBase: seedBase, Scope: scope,
+		Opts: o, Evals: len(evals), NB: nb, Examples: n,
+	}})
+	if err != nil {
+		return nil, err
 	}
-
-	if startBatch < nb {
-		job := SweepJob{
-			Key: ckey, SeedBase: seedBase, Scope: scope,
-			Opts: o, Evals: len(evals), NB: nb, Examples: n, Window: 1,
-		}
-		start := time.Now()
-		a.Obs.Counter("sweep.sweeps").Inc()
-		a.Obs.Info("sweep distributed to fleet",
-			obs.F("sweep", ckey), obs.F("scope", scope.String()),
-			obs.F("windows", nb-startBatch), obs.F("evals", len(evals)))
-		ch, err := a.Fleet.RunSweep(ctx, job, startBatch)
-		if err != nil {
-			return nil, err
-		}
-		// Fold in ascending window order, buffering early arrivals, so the
-		// checkpoint is always a contiguous batch prefix.
-		pending := map[int]WindowResult{}
-		next := startBatch
-		for res := range ch {
-			if len(res.Correct) != len(evals) {
-				return nil, fmt.Errorf("fleet window [%d, %d) returned %d counts, want %d",
-					res.B0, res.B1, len(res.Correct), len(evals))
-			}
-			pending[res.B0] = res
-			for {
-				r, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				for i, c := range r.Correct {
-					correct[i] += c
-				}
-				next = r.B1
-				if a.Checkpoint != nil {
-					a.checkpointPut(ckey, sweepState{Correct: correct, BatchesDone: next, Done: next == nb})
-				}
-				if a.afterWindow != nil {
-					a.afterWindow(next, nb)
-				}
-			}
-		}
-		if next < nb {
-			// The fleet closed the channel short of the full grid — the
-			// sweep was cancelled (coordinator drain/shutdown) or the fleet
-			// failed; the checkpoint holds the folded prefix either way.
-			if err := ctx.Err(); err != nil {
-				a.Obs.Warn("fleet sweep cancelled",
-					obs.F("sweep", ckey),
-					obs.F("batches", fmt.Sprintf("%d/%d", next, nb)))
-				return nil, err
-			}
-			return nil, fmt.Errorf("fleet sweep %s incomplete: %d/%d batches folded", ckey, next, nb)
-		}
-		dur := time.Since(start)
-		a.Obs.Timer("sweep.duration").Observe(dur)
-		a.Obs.Debug("fleet sweep complete",
-			obs.F("sweep", ckey), obs.F("windows", nb-startBatch),
-			obs.F("dur", dur.Round(time.Millisecond)))
-	}
-
 	return assemblePoints(o, correct, clean, n), nil
 }

@@ -26,17 +26,13 @@ type stubFleet struct {
 func (f *stubFleet) RunSweep(ctx context.Context, job SweepJob, start int) (<-chan WindowResult, error) {
 	f.gotStart = start
 	var results []WindowResult
-	for b0 := start; b0 < job.NB; b0 += job.Window {
-		b1 := b0 + job.Window
-		if b1 > job.NB {
-			b1 = job.NB
-		}
+	for b0 := start; b0 < job.NB; b0++ {
 		f.worker.Opts = job.Opts
-		correct, err := f.worker.EvalWindow(ctx, job.Scope, job.SeedBase, b0, b1)
+		correct, err := f.worker.EvalWindow(ctx, job.Scope, job.SeedBase, b0, b0+1)
 		if err != nil {
 			return nil, err
 		}
-		results = append(results, WindowResult{B0: b0, B1: b1, Correct: correct})
+		results = append(results, WindowResult{B0: b0, B1: b0 + 1, Correct: correct})
 	}
 	if f.reverse {
 		for i, j := 0, len(results)-1; i < j; i, j = i+1, j-1 {

@@ -387,6 +387,13 @@ func (a *Analyzer) evalData() (*tensor.Tensor, []int) {
 	return x, y
 }
 
+// evalSize returns the evaluation split's example and batch counts.
+func (a *Analyzer) evalSize() (n, nb int) {
+	x, _ := a.evalData()
+	n = x.Shape[0]
+	return n, (n + a.Opts.Batch - 1) / a.Opts.Batch
+}
+
 // ExtractGroups is Step 1: one instrumented forward pass enumerates the
 // injection sites, partitioned by Table III group.
 func (a *Analyzer) ExtractGroups() map[noise.Group][]noise.Site {
@@ -414,21 +421,63 @@ func toleratedNM(points []SweepPoint, threshold float64) float64 {
 	return best
 }
 
-// ckptGroup / ckptLayer are the checkpointed forms of a finished group
-// or layer analysis (groups serialize by their stable paper name).
-type ckptGroup struct {
+// ckptScope is the checkpointed form of one finished group or layer
+// analysis. Groups serialize by their stable paper name; group records
+// have no layer and omit the field.
+type ckptScope struct {
+	Layer       string       `json:"layer,omitempty"`
 	Group       string       `json:"group"`
 	Points      []SweepPoint `json:"points"`
 	ToleratedNM float64      `json:"tolerated_nm"`
 	Resilient   bool         `json:"resilient"`
 }
 
-type ckptLayer struct {
-	Layer       string       `json:"layer"`
-	Group       string       `json:"group"`
-	Points      []SweepPoint `json:"points"`
-	ToleratedNM float64      `json:"tolerated_nm"`
-	Resilient   bool         `json:"resilient"`
+// resumeScopes reads the finished analysis checkpointed under key
+// ("groups" or "layers") as layer results, with an empty Layer for
+// group records. ok is false when the section is absent or names an
+// unknown group.
+func (a *Analyzer) resumeScopes(key string) (out []LayerResult, ok bool) {
+	var recs []ckptScope
+	if a.Checkpoint == nil || !a.Checkpoint.Get(key, &recs) {
+		return nil, false
+	}
+	out = make([]LayerResult, 0, len(recs))
+	for _, r := range recs {
+		g, found := groupByName(r.Group)
+		if !found {
+			return nil, false
+		}
+		out = append(out, LayerResult{
+			Layer: r.Layer, Group: g, Points: r.Points, ToleratedNM: r.ToleratedNM, Resilient: r.Resilient,
+		})
+	}
+	return out, true
+}
+
+// resumed logs a fully resumed analysis step. Probe stats are never
+// checkpointed: a fully resumed step executes nothing and records
+// nothing.
+func (a *Analyzer) resumed(step string, scopes int) {
+	a.Obs.Info(step+" analysis resumed from checkpoint", obs.F(step+"s", scopes))
+	if a.Probes != nil {
+		a.Obs.Warn(step+" analysis fully resumed; no probe stats recorded",
+			obs.F("hint", "use -checkpoint=false or a fresh -dir for a full probe capture"))
+	}
+}
+
+// saveScopes checkpoints a finished group or layer analysis under key.
+func (a *Analyzer) saveScopes(key string, scopes []LayerResult) {
+	if a.Checkpoint == nil {
+		return
+	}
+	recs := make([]ckptScope, 0, len(scopes))
+	for _, l := range scopes {
+		recs = append(recs, ckptScope{
+			Layer: l.Layer, Group: l.Group.String(), Points: l.Points,
+			ToleratedNM: l.ToleratedNM, Resilient: l.Resilient,
+		})
+	}
+	a.checkpointPut(key, recs)
 }
 
 // groupByName resolves a checkpointed group name back to its Group.
@@ -446,32 +495,13 @@ func groupByName(name string) (noise.Group, bool) {
 // sweep checkpoints its own windows) and later runs return it directly.
 func (a *Analyzer) AnalyzeGroups(ctx context.Context, clean float64) ([]GroupResult, error) {
 	o := a.Opts
-	if a.Checkpoint != nil {
-		var recs []ckptGroup
-		if a.Checkpoint.Get("groups", &recs) && len(recs) > 0 {
-			out := make([]GroupResult, 0, len(recs))
-			ok := true
-			for _, r := range recs {
-				g, found := groupByName(r.Group)
-				if !found {
-					ok = false
-					break
-				}
-				out = append(out, GroupResult{
-					Group: g, Points: r.Points, ToleratedNM: r.ToleratedNM, Resilient: r.Resilient,
-				})
-			}
-			if ok {
-				a.Obs.Info("group analysis resumed from checkpoint", obs.F("groups", len(out)))
-				if a.Probes != nil {
-					// Probe stats are never checkpointed: a fully resumed
-					// analysis executes nothing and records nothing.
-					a.Obs.Warn("group analysis fully resumed; no probe stats recorded",
-						obs.F("hint", "use -checkpoint=false or a fresh -dir for a full probe capture"))
-				}
-				return out, nil
-			}
+	if recs, ok := a.resumeScopes("groups"); ok && len(recs) > 0 {
+		a.resumed("group", len(recs))
+		out := make([]GroupResult, 0, len(recs))
+		for _, r := range recs {
+			out = append(out, GroupResult{Group: r.Group, Points: r.Points, ToleratedNM: r.ToleratedNM, Resilient: r.Resilient})
 		}
+		return out, nil
 	}
 	groups := a.ExtractGroups()
 	total := 0
@@ -507,16 +537,11 @@ func (a *Analyzer) AnalyzeGroups(ctx context.Context, clean float64) ([]GroupRes
 		out[i].Resilient = out[i].ToleratedNM >= maxNM ||
 			(out[i].ToleratedNM > med && out[i].ToleratedNM > 0)
 	}
-	if a.Checkpoint != nil {
-		recs := make([]ckptGroup, 0, len(out))
-		for _, g := range out {
-			recs = append(recs, ckptGroup{
-				Group: g.Group.String(), Points: g.Points,
-				ToleratedNM: g.ToleratedNM, Resilient: g.Resilient,
-			})
-		}
-		a.checkpointPut("groups", recs)
+	recs := make([]LayerResult, 0, len(out))
+	for _, g := range out {
+		recs = append(recs, LayerResult{Group: g.Group, Points: g.Points, ToleratedNM: g.ToleratedNM, Resilient: g.Resilient})
 	}
+	a.saveScopes("groups", recs)
 	return out, nil
 }
 
@@ -525,31 +550,9 @@ func (a *Analyzer) AnalyzeGroups(ctx context.Context, clean float64) ([]GroupRes
 // checkpoint section, mirroring AnalyzeGroups.
 func (a *Analyzer) AnalyzeLayers(ctx context.Context, groups []GroupResult, clean float64) ([]LayerResult, error) {
 	o := a.Opts
-	if a.Checkpoint != nil {
-		var recs []ckptLayer
-		if a.Checkpoint.Get("layers", &recs) {
-			out := make([]LayerResult, 0, len(recs))
-			ok := true
-			for _, r := range recs {
-				g, found := groupByName(r.Group)
-				if !found {
-					ok = false
-					break
-				}
-				out = append(out, LayerResult{
-					Layer: r.Layer, Group: g, Points: r.Points,
-					ToleratedNM: r.ToleratedNM, Resilient: r.Resilient,
-				})
-			}
-			if ok {
-				a.Obs.Info("layer analysis resumed from checkpoint", obs.F("layers", len(out)))
-				if a.Probes != nil {
-					a.Obs.Warn("layer analysis fully resumed; no probe stats recorded",
-						obs.F("hint", "use -checkpoint=false or a fresh -dir for a full probe capture"))
-				}
-				return out, nil
-			}
-		}
+	if out, ok := a.resumeScopes("layers"); ok {
+		a.resumed("layer", len(out))
+		return out, nil
 	}
 	sitesByGroup := a.ExtractGroups()
 	total := 0
@@ -588,16 +591,7 @@ func (a *Analyzer) AnalyzeLayers(ctx context.Context, groups []GroupResult, clea
 			out[i].Resilient = out[i].ToleratedNM >= med && med > 0
 		}
 	}
-	if a.Checkpoint != nil {
-		recs := make([]ckptLayer, 0, len(out))
-		for _, l := range out {
-			recs = append(recs, ckptLayer{
-				Layer: l.Layer, Group: l.Group.String(), Points: l.Points,
-				ToleratedNM: l.ToleratedNM, Resilient: l.Resilient,
-			})
-		}
-		a.checkpointPut("layers", recs)
-	}
+	a.saveScopes("layers", out)
 	return out, nil
 }
 
@@ -803,18 +797,6 @@ func NewPerSiteInjector(choices []Choice, seed uint64) *noise.PerSite {
 		params[c.Site] = noise.Params{NM: c.ComponentNM, NA: 0}
 	}
 	return noise.NewPerSite(params, seed)
-}
-
-// Run executes the full 6-step methodology and assembles the report.
-// It is RunMethodology without cancellation; a worker panic (the only
-// failure mode left) propagates as a panic, preserving the historical
-// behavior for callers that never pass a context.
-func (a *Analyzer) Run(profiles []ComponentProfile) *Report {
-	r, err := a.RunMethodology(context.Background(), profiles)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }
 
 // RunMethodology executes the full 6-step methodology and assembles the

@@ -85,6 +85,17 @@ func filterClasses(d *datasets.Dataset, k int) *datasets.Dataset {
 	return out
 }
 
+// mustRunMethodology runs the full methodology with a background
+// context, failing the test on error.
+func mustRunMethodology(t *testing.T, a *Analyzer, profiles []ComponentProfile) *Report {
+	t.Helper()
+	r, err := a.RunMethodology(context.Background(), profiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestExtractGroupsMatchesTableIII(t *testing.T) {
 	a := sharedAnalyzer(t)
 	groups := a.ExtractGroups()
@@ -180,7 +191,7 @@ func TestProfileLibraryCoversAllComponents(t *testing.T) {
 func TestFullRunReportShape(t *testing.T) {
 	a := sharedAnalyzer(t)
 	profiles := ProfileLibrary(approx.Uniform{}, 9, 2000, 3)
-	r := a.Run(profiles)
+	r := mustRunMethodology(t, a, profiles)
 
 	if r.CleanAccuracy < 0.8 {
 		t.Fatalf("clean accuracy %.2f", r.CleanAccuracy)
@@ -221,7 +232,7 @@ func TestFullRunReportShape(t *testing.T) {
 func TestResilientGroupsGetAggressiveComponents(t *testing.T) {
 	a := sharedAnalyzer(t)
 	profiles := ProfileLibrary(approx.Uniform{}, 9, 2000, 3)
-	r := a.Run(profiles)
+	r := mustRunMethodology(t, a, profiles)
 
 	power := map[noise.Group]float64{}
 	count := map[noise.Group]int{}

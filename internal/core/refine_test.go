@@ -99,7 +99,7 @@ func TestRefineGivesUpAtExact(t *testing.T) {
 func TestReportJSONExport(t *testing.T) {
 	a := sharedAnalyzer(t)
 	profiles := ProfileLibrary(approx.Uniform{}, 9, 2000, 3)
-	r := a.Run(profiles)
+	r := mustRunMethodology(t, a, profiles)
 	var b strings.Builder
 	if err := r.WriteJSON(&b); err != nil {
 		t.Fatal(err)

@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"redcane/internal/caps"
 	"redcane/internal/checkpoint"
 	"redcane/internal/noise"
 	"redcane/internal/obs"
@@ -81,6 +83,24 @@ func panicAfter(n int64) noise.Filter {
 	}
 }
 
+// panicBackend is the float backend with every layer marked approximate
+// (frontier 0, so each job's first convolution sees its batch's raw input
+// view) and a Conv2D that panics on the batch whose input starts at at.
+type panicBackend struct {
+	caps.Float
+	at *float64
+}
+
+func (panicBackend) Name() string            { return "panic" }
+func (panicBackend) ApproxLayer(string) bool { return true }
+
+func (b panicBackend) Conv2D(layer string, x, w, bias *tensor.Tensor, stride, pad int, s *tensor.Scratch) *tensor.Tensor {
+	if &x.Data[0] == b.at {
+		panic("backend exploded")
+	}
+	return b.Float.Conv2D(layer, x, w, bias, stride, pad, s)
+}
+
 func TestSweepSurfacesWorkerPanicWithCoordinates(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		a := derived(t)
@@ -103,24 +123,52 @@ func TestSweepSurfacesWorkerPanicWithCoordinates(t *testing.T) {
 				t.Fatalf("workers=%d: error message missing %q: %s", workers, want, msg)
 			}
 		}
+
+		// A backend evaluation has no sweep point: its panic carries
+		// Point -1 and the failing batch.
+		b := derived(t)
+		b.Opts.Workers = workers
+		x, _ := b.evalData()
+		const failing = 2
+		be := panicBackend{at: &x.Data[failing*b.Opts.Batch*(x.Len()/x.Shape[0])]}
+		_, err = b.EvalBackend(context.Background(), be, "panic")
+		if !errors.As(err, &jp) {
+			t.Fatalf("workers=%d: EvalBackend error = %v, want *JobPanicError", workers, err)
+		}
+		if jp.Point != -1 || jp.Trial != -1 || jp.Batch != failing || jp.Value != "backend exploded" {
+			t.Fatalf("workers=%d: EvalBackend panic = %+v, want point -1 at batch %d", workers, jp, failing)
+		}
 	}
 }
 
 func TestSweepCancelledMidRunReturnsContextError(t *testing.T) {
-	a := derived(t)
-	a.Opts.PrefixCacheMB = -1 // single-batch windows: several cancellation points
-	ctx, cancel := context.WithCancel(context.Background())
-	var windows int
-	a.afterWindow = func(done, total int) {
-		windows++
-		cancel()
-	}
-	_, err := a.sweep(ctx, noise.ForGroup(noise.MACOutputs), 0.9, 1)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("error = %v, want context.Canceled", err)
-	}
-	if windows != 1 {
-		t.Fatalf("sweep continued after cancellation: %d windows", windows)
+	for _, c := range []struct {
+		name string
+		run  func(ctx context.Context, a *Analyzer) error
+	}{
+		{"sweep", func(ctx context.Context, a *Analyzer) error {
+			_, err := a.sweep(ctx, noise.ForGroup(noise.MACOutputs), 0.9, 1)
+			return err
+		}},
+		{"eval-backend", func(ctx context.Context, a *Analyzer) error {
+			_, err := a.EvalBackend(ctx, designBackend(t, a), "cancel")
+			return err
+		}},
+	} {
+		a := derived(t)
+		a.Opts.PrefixCacheMB = -1 // single-batch windows: several cancellation points
+		ctx, cancel := context.WithCancel(context.Background())
+		var windows int
+		a.afterWindow = func(done, total int) {
+			windows++
+			cancel()
+		}
+		if err := c.run(ctx, a); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: error = %v, want context.Canceled", c.name, err)
+		}
+		if windows != 1 {
+			t.Fatalf("%s: run continued after cancellation: %d windows", c.name, windows)
+		}
 	}
 }
 
@@ -218,6 +266,64 @@ func TestSweepIgnoresCheckpointFromOtherOptions(t *testing.T) {
 	_, resumed := resumeStore(t, dir, b.Opts)
 	if resumed {
 		t.Fatal("checkpoint resumed across a results-affecting options change")
+	}
+}
+
+func TestSweepIgnoresImpossibleCheckpointCounts(t *testing.T) {
+	// A section whose key matches but whose counts cannot come from the
+	// batches it claims — negative, or more correct answers than examples
+	// — must be treated as absent: the run recomputes from scratch and
+	// matches the uninterrupted result instead of reporting an accuracy
+	// outside [0, 1].
+	filter := noise.ForGroup(noise.Softmax)
+	const clean, seedBase = 0.9, 19
+	want := derived(t)
+	wantPts := mustSweep(t, want, filter, clean, seedBase)
+	wantAcc, err := derived(t).EvalBackend(context.Background(), nil, "float-eval")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	evals := len(sweepEvals(want.Opts))
+	n := want.Data.TestX.Shape[0]
+	nb := (n + want.Opts.Batch - 1) / want.Opts.Batch
+	fill := func(k, v int) []int {
+		out := make([]int, k)
+		for i := range out {
+			out[i] = v
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name string
+		st   func(evals int) sweepState
+	}{
+		{"negative", func(k int) sweepState { return sweepState{Correct: fill(k, -1), BatchesDone: 1} }},
+		{"above first batch", func(k int) sweepState {
+			return sweepState{Correct: fill(k, want.Opts.Batch+1), BatchesDone: 1}
+		}},
+		{"above split", func(k int) sweepState { return sweepState{Correct: fill(k, n+1), BatchesDone: nb, Done: true} }},
+		{"done flag above progress", func(k int) sweepState {
+			return sweepState{Correct: fill(k, n+1), BatchesDone: 0, Done: true}
+		}},
+	} {
+		a := derived(t)
+		a.Obs = obs.New(obs.Off, nil)
+		st, _ := resumeStore(t, t.TempDir(), a.Opts)
+		if err := st.Put(fmt.Sprintf("sweep-%d", seedBase), c.st(evals)); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put("float-eval", c.st(1)); err != nil {
+			t.Fatal(err)
+		}
+		a.Checkpoint = st
+		samePoints(t, c.name, wantPts, mustSweep(t, a, filter, clean, seedBase))
+		if got, err := a.EvalBackend(context.Background(), nil, "float-eval"); err != nil || got != wantAcc {
+			t.Fatalf("%s: EvalBackend = %g, %v; want %g", c.name, got, err, wantAcc)
+		}
+		if v := a.Obs.Counter("sweep.resumed_jobs").Value(); v != 0 {
+			t.Fatalf("%s: resumed %d jobs from an impossible checkpoint", c.name, v)
+		}
 	}
 }
 

@@ -27,34 +27,24 @@ import (
 //     first active site (the injection frontier) produces bit-identical
 //     clean activations at every sweep point and trial. The engine
 //     computes each batch's clean activation up to the frontier once and
-//     replays only the suffix per evaluation. For late frontiers
-//     (ClassCaps-targeted layer sweeps, the softmax / logits-update
-//     groups) this skips the bulk of the forward pass.
+//     replays only the suffix per evaluation. The cache is bounded by
+//     Options.PrefixCacheMB: when the whole evaluation set fits, it is
+//     retained on the Analyzer for back-to-back sweeps sharing a frontier
+//     (e.g. the softmax and logits-update groups); otherwise batches run
+//     in windows that fit, re-deriving the prefix per window.
 //  2. Deterministic parallel evaluation. Work is scheduled as
 //     independent (sweep point × trial × batch) jobs over a
-//     GOMAXPROCS-aware worker pool (Options.Workers). Each job draws its
-//     noise from a counter-seeded RNG stream derived from (Options.Seed,
-//     sweep-call counter, point, trial, batch index) via
-//     noise.StreamSeed, so results are bit-identical for any worker
-//     count and any scheduling order.
+//     GOMAXPROCS-aware, panic-safe, cancellable worker pool
+//     (Options.Workers). Each job draws its noise from a counter-seeded
+//     RNG stream of (Options.Seed, sweep-call counter, point, trial,
+//     batch) via noise.StreamSeed, so results are bit-identical for any
+//     worker count and any scheduling order.
 //  3. Scratch-arena reuse. Each worker owns a tensor.Scratch, so the
 //     im2col / product / routing temporaries of repeated suffix forwards
 //     recycle instead of churning the garbage collector.
 //
-// The cache is memory-bounded by Options.PrefixCacheMB: when the whole
-// evaluation set's frontier activations fit, they are computed once and
-// also retained on the Analyzer for back-to-back sweeps sharing a
-// frontier (e.g. the softmax and logits-update group sweeps); otherwise
-// batches are processed in windows that fit the bound, re-deriving the
-// prefix per window.
-//
-// The engine is additionally fault-tolerant: a panic inside a worker is
-// recovered and surfaced as a *JobPanicError naming the failing (point,
-// trial, batch) job instead of crashing the process, cancellation via
-// context stops dispatch at a batch boundary (in-flight jobs drain), and
-// when the Analyzer carries a checkpoint.Store each completed batch
-// window persists its per-(point, trial) correct-counts so a restarted
-// run resumes bit-identically where it left off.
+// The windows are folded, checkpointed and resumed by the one window
+// executor in window.go.
 
 // prefixCache retains the clean activations at one frontier for the whole
 // evaluation set, one tensor per batch. base is the producing backend's
@@ -78,8 +68,8 @@ func (o Options) sweepWorkers() int {
 
 // JobPanicError reports a panic recovered inside a sweep-engine worker,
 // carrying the coordinates of the failing evaluation job. Point indexes
-// Options.NMSweep; Point and Trial are -1 for clean-prefix jobs, which
-// evaluate no sweep point.
+// Options.NMSweep; Point and Trial are -1 for jobs that evaluate no sweep
+// point: clean-prefix jobs and backend evaluations.
 type JobPanicError struct {
 	Point int
 	NM    float64
@@ -94,7 +84,7 @@ type JobPanicError struct {
 // Error implements error.
 func (e *JobPanicError) Error() string {
 	if e.Point < 0 {
-		return fmt.Sprintf("sweep: worker panic computing clean prefix of batch %d: %v", e.Batch, e.Value)
+		return fmt.Sprintf("sweep: worker panic on batch %d (no sweep point): %v", e.Batch, e.Value)
 	}
 	return fmt.Sprintf("sweep: worker panic at point=%d (NM=%g) trial=%d batch=%d: %v",
 		e.Point, e.NM, e.Trial, e.Batch, e.Value)
@@ -342,279 +332,58 @@ func (a *Analyzer) Sweep(ctx context.Context, filter noise.Filter, clean float64
 	return a.sweep(ctx, filter, clean, seedBase)
 }
 
-// sweepState is the checkpointed progress of one sweep: the per-(point,
-// trial) correct-counts summed over the first BatchesDone batches.
-type sweepState struct {
-	Correct     []int `json:"correct"`
-	BatchesDone int   `json:"batches_done"`
-	Done        bool  `json:"done"`
+// sweep measures accuracy across the NM grid with the given site filter
+// on this process's worker pool. seedBase is a per-sweep counter folded
+// into every job's RNG stream, so distinct sweeps draw independent noise
+// while identical configurations reproduce bit-for-bit, regardless of
+// Options.Workers. With a non-nil a.Checkpoint the sweep checkpoints and
+// resumes under the key "sweep-<seedBase>" (see runWindows).
+func (a *Analyzer) sweep(ctx context.Context, filter noise.Filter, clean float64, seedBase uint64) ([]SweepPoint, error) {
+	r, err := a.sweepRun(filter, seedBase)
+	if err != nil {
+		return nil, err
+	}
+	if a.Probes != nil {
+		// Numeric-health probes: opt-in, never checkpointed, provably
+		// inert (the probed pass is the result pass; see probe.go).
+		label := a.ProbeLabel
+		if label == "" {
+			label = r.key
+		}
+		r.probe = &probeRun{label: label, ref: r.be}
+	}
+	correct, err := a.runWindows(ctx, r)
+	if err != nil {
+		return nil, err
+	}
+	return assemblePoints(a.Opts, correct, clean, r.n), nil
 }
 
-// sweep measures accuracy across the NM grid with the given site filter.
-// seedBase is a per-sweep counter folded into every job's RNG stream, so
-// distinct sweeps draw independent noise while identical configurations
-// reproduce bit-for-bit, regardless of Options.Workers.
-//
-// With a non-nil a.Checkpoint, the per-(point, trial) correct-counts are
-// persisted after every completed batch window under the key
-// "sweep-<seedBase>"; a later call with the same options resumes after
-// the last persisted window (or returns immediately when the sweep had
-// completed), producing bit-identical points because every job's noise
-// is a pure function of (seed, seedBase, point, trial, batch).
-func (a *Analyzer) sweep(ctx context.Context, filter noise.Filter, clean float64, seedBase uint64) ([]SweepPoint, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// sweepRun describes the local run of the sweep named by seedBase: one
+// evaluation per noisy (point, trial), each job's noise drawn from a
+// counter-seeded stream of (Options.Seed, seedBase, point, trial, batch).
+func (a *Analyzer) sweepRun(filter noise.Filter, seedBase uint64) (windowRun, error) {
 	o := a.Opts
 	if _, err := o.Noise.Normalize(); err != nil {
-		return nil, err
+		return windowRun{}, err
 	}
 	be, err := a.execBackend(caps.Float{})
 	if err != nil {
-		return nil, err
+		return windowRun{}, err
 	}
-	x, y := a.evalData()
-	n := x.Shape[0]
-	nb := (n + o.Batch - 1) / o.Batch
-	frontier := a.Net.InjectionFrontier(filter)
+	n, nb := a.evalSize()
 	// A non-exact nonlinearity perturbs every routing layer, so the clean
 	// prefix must stop before the first affected one (Float never shortens
 	// this: its ApproxLayer is constant-false).
-	if nf := a.Net.BackendFrontier(be); nf < frontier {
-		frontier = nf
-	}
-
-	evals := sweepEvals(o)
-	correct := make([]int, len(evals)) // per (point, trial), summed over batches
-	totalJobs := len(evals) * nb
-
-	// Numeric-health probes: opt-in, never checkpointed, provably inert
-	// (the probed pass is the result pass; see probe.go). probeAcc[pi]
-	// accumulates per-layer stats for sweep point pi in ascending
-	// (window, job) order, which keeps every float sum bit-identical
-	// across worker counts.
-	probing := a.Probes != nil
-	var probeAcc []*probeAccum
-	if probing {
-		probeAcc = make([]*probeAccum, len(o.NMSweep))
-	}
-
-	// Resume from the checkpointed window boundary, if any.
-	ckey := fmt.Sprintf("sweep-%d", seedBase)
-	startBatch := 0
-	if a.Checkpoint != nil {
-		var st sweepState
-		if a.Checkpoint.Get(ckey, &st) && len(st.Correct) == len(evals) &&
-			st.BatchesDone >= 0 && st.BatchesDone <= nb {
-			copy(correct, st.Correct)
-			startBatch = st.BatchesDone
-			if st.Done {
-				startBatch = nb
-			}
-			skipped := startBatch * len(evals)
-			a.Obs.Counter("sweep.resumed_jobs").Add(int64(skipped))
-			a.Obs.Info("sweep resumed from checkpoint",
-				obs.F("sweep", ckey),
-				obs.F("batches", fmt.Sprintf("%d/%d", startBatch, nb)),
-				obs.F("skipped_jobs", skipped))
-			if probing && startBatch > 0 {
-				// Probe stats are never checkpointed, so they can only
-				// cover the windows this process actually runs.
-				a.Obs.Warn("probe stats cover only the un-resumed windows",
-					obs.F("sweep", ckey), obs.F("skipped_batches", startBatch))
-			}
-		}
-	}
-
-	window := a.prefixWindow(frontier, nb)
-	start := time.Now()
-	doneJobs := startBatch * len(evals)
-	a.Obs.Counter("sweep.sweeps").Inc()
-	a.Obs.Counter("sweep.jobs").Add(int64(totalJobs - doneJobs))
-	for b0 := startBatch; b0 < nb; b0 += window {
-		if err := ctx.Err(); err != nil {
-			a.Obs.Warn("sweep cancelled",
-				obs.F("sweep", ckey),
-				obs.F("batches", fmt.Sprintf("%d/%d", b0, nb)))
-			return nil, err
-		}
-		b1 := b0 + window
-		if b1 > nb {
-			b1 = nb
-		}
-		tw0 := time.Now()
-		jobCorrect, jobProbes, err := a.windowJobs(ctx, filter, evals, x, y, frontier, seedBase, b0, b1, nb, probing, be)
-		if err != nil {
-			var jp *JobPanicError
-			if !errors.As(err, &jp) {
-				a.Obs.Warn("sweep cancelled",
-					obs.F("sweep", ckey),
-					obs.F("batches", fmt.Sprintf("%d/%d", b0, nb)))
-			}
-			return nil, err
-		}
-		nbw := b1 - b0
-		// Merge in ascending job order: correct-counts, the value-domain
-		// job-correct histogram (integer observations, so bucket counts
-		// and sum are scheduling-invariant), and the probe stats.
-		hist := a.Obs.Histogram("sweep.job_correct")
-		for j, c := range jobCorrect {
-			correct[j/nbw] += c
-			hist.Observe(float64(c))
-		}
-		if probing {
-			for j, rec := range jobProbes {
-				if rec == nil {
-					continue
-				}
-				pi := evals[j/nbw].pi
-				if probeAcc[pi] == nil {
-					probeAcc[pi] = newProbeAccum()
-				}
-				probeAcc[pi].merge(rec.Layers())
-			}
-		}
-		doneJobs += len(jobCorrect)
-		if tr := a.Obs.Trace(); tr != nil {
-			tr.Complete("sweep.window", "sweep", 0, tw0, time.Since(tw0),
-				map[string]any{"sweep": ckey, "batches": fmt.Sprintf("%d-%d/%d", b0, b1, nb), "jobs": len(jobCorrect)})
-		}
-		if a.Checkpoint != nil {
-			a.checkpointPut(ckey, sweepState{Correct: correct, BatchesDone: b1, Done: b1 == nb})
-		}
-		if a.afterWindow != nil {
-			a.afterWindow(b1, nb)
-		}
-		if a.Obs.Enabled(obs.Debug) && doneJobs < totalJobs {
-			elapsed := time.Since(start)
-			rate := float64(doneJobs) / elapsed.Seconds()
-			fields := []obs.Field{
-				obs.F("jobs", fmt.Sprintf("%d/%d", doneJobs, totalJobs)),
-				obs.F("jobs_per_sec", fmt.Sprintf("%.1f", rate)),
-			}
-			// A zero rate (clock granularity, resumed runs doing no new
-			// work yet) would make the ETA division yield +Inf.
-			if rate > 0 {
-				eta := time.Duration(float64(totalJobs-doneJobs) / rate * float64(time.Second))
-				fields = append(fields, obs.F("eta", eta.Round(time.Second)))
-			}
-			a.Obs.Debug("sweep progress", fields...)
-		}
-	}
-	if a.Checkpoint != nil && startBatch < nb {
-		a.checkpointPut(ckey, sweepState{Correct: correct, BatchesDone: nb, Done: true})
-	}
-	if dur := time.Since(start); totalJobs > 0 {
-		a.Obs.Timer("sweep.duration").Observe(dur)
-		rate := float64(totalJobs) / dur.Seconds()
-		a.Obs.Gauge("sweep.last_jobs_per_sec").Set(rate)
-		a.Obs.Debug("sweep complete",
-			obs.F("frontier", frontier), obs.F("jobs", totalJobs),
-			obs.F("dur", dur.Round(time.Millisecond)),
-			obs.F("jobs_per_sec", fmt.Sprintf("%.1f", rate)))
-	}
-
-	if probing {
-		label := a.ProbeLabel
-		if label == "" {
-			label = ckey
-		}
-		swp := ProbeSweep{Label: label, Backend: be.Name()}
-		for pi, nm := range o.NMSweep {
-			if probeAcc[pi] == nil {
-				continue
-			}
-			swp.Points = append(swp.Points, ProbePoint{NM: nm, Layers: probeAcc[pi].emit()})
-		}
-		if len(swp.Points) > 0 {
-			a.Probes.add(swp)
-		}
-	}
-
-	return assemblePoints(o, correct, clean, n), nil
-}
-
-// evalIdx names one noisy (point, trial) evaluation of a sweep; NM = 0 is
-// the clean point and is never enumerated.
-type evalIdx struct{ pi, trial int }
-
-// sweepEvals enumerates the (point, trial) evaluations of one sweep in
-// the canonical order every fold path assumes: ascending point index,
-// then ascending trial.
-func sweepEvals(o Options) []evalIdx {
-	var evals []evalIdx
-	for pi, nm := range o.NMSweep {
-		if nm == 0 {
-			continue
-		}
-		for trial := 0; trial < o.Trials; trial++ {
-			evals = append(evals, evalIdx{pi, trial})
-		}
-	}
-	return evals
-}
-
-// windowJobs evaluates every (point, trial) × batch job of the batch
-// window [b0, b1): the per-job correct counts (eval-major, batch-minor)
-// plus, when probing, the per-job probe recorders. This is the one code
-// path that turns a window into counts — the local sweep loop and the
-// worker-side EvalWindow both call it, which is what makes a leased
-// window's counts bit-identical to the in-process ones.
-func (a *Analyzer) windowJobs(ctx context.Context, filter noise.Filter, evals []evalIdx, x *tensor.Tensor, y []int, frontier int, seedBase uint64, b0, b1, nb int, probing bool, be caps.Backend) ([]int, []*caps.ProbeRecorder, error) {
-	o := a.Opts
-	acts, err := a.prefixActivations(ctx, frontier, x, b0, b1, nb, be)
-	if err != nil {
-		return nil, nil, err
-	}
-	// One job per (point, trial, batch); each job owns its result slot.
-	nbw := b1 - b0
-	jobCorrect := make([]int, len(evals)*nbw)
-	var jobProbes []*caps.ProbeRecorder
-	if probing {
-		jobProbes = make([]*caps.ProbeRecorder, len(jobCorrect))
-	}
-	err = runJobs(ctx, a.Obs, o.sweepWorkers(), len(jobCorrect), func(j int, s *tensor.Scratch) {
-		e := evals[j/nbw]
-		bi := b0 + j%nbw
-		nm := o.NMSweep[e.pi]
-		seed := noise.StreamSeed(o.Seed, seedBase, uint64(e.pi), uint64(e.trial), uint64(bi))
-		inj := o.Noise.Injector(nm, o.NA, filter, seed)
-		var pred []int
-		if probing {
-			// Reference pass: the clean suffix, recorded at the Backend
-			// seam. noise.None draws nothing from inj, and the kernels
-			// write scratch buffers before reading them, so the extra
-			// pass cannot perturb the result pass below.
-			rec := caps.NewProbeRecorder()
-			rec.StartReference()
-			a.Net.ClassifyFromExec(frontier, acts[bi-b0], noise.None{}, s, caps.NewProbeBackend(be, rec))
-			rec.StartObserve()
-			pred = a.Net.ClassifyFromExec(frontier, acts[bi-b0], inj, s, caps.NewProbeBackend(be, rec))
-			jobProbes[j] = rec
-		} else {
-			pred = a.Net.ClassifyFromExec(frontier, acts[bi-b0], inj, s, be)
-		}
-		lo := bi * o.Batch
-		c := 0
-		for i, p := range pred {
-			if p == y[lo+i] {
-				c++
-			}
-		}
-		jobCorrect[j] = c
-	})
-	if err != nil {
-		var wp *workerPanic
-		if errors.As(err, &wp) {
-			e := evals[wp.Job/nbw]
-			return nil, nil, &JobPanicError{
-				Point: e.pi, NM: o.NMSweep[e.pi], Trial: e.trial, Batch: b0 + wp.Job%nbw,
-				Value: wp.Value, Stack: wp.Stack,
-			}
-		}
-		return nil, nil, err
-	}
-	return jobCorrect, jobProbes, nil
+	frontier := min(a.Net.InjectionFrontier(filter), a.Net.BackendFrontier(be))
+	return windowRun{
+		key: fmt.Sprintf("sweep-%d", seedBase), evals: sweepEvals(o), n: n, nb: nb,
+		frontier: frontier, be: be,
+		inject: func(e evalIdx, bi int) noise.Injector {
+			seed := noise.StreamSeed(o.Seed, seedBase, uint64(e.pi), uint64(e.trial), uint64(bi))
+			return o.Noise.Injector(o.NMSweep[e.pi], o.NA, filter, seed)
+		},
+	}, nil
 }
 
 // assemblePoints turns the folded per-(point, trial) correct counts into

@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -47,10 +46,6 @@ type Config struct {
 	// performs. Probing never alters results or checkpoints; it roughly
 	// doubles evaluation cost.
 	Probes *core.ProbeSet
-	// Log is the legacy progress hook: when set and Obs is nil, NewRunner
-	// bridges it to an info-level text-event Obs writing to this writer.
-	// Prefer Obs.
-	Log io.Writer
 	// Workers bounds the sweep engine's evaluation goroutines
 	// (0 = runtime.GOMAXPROCS(0)); results are identical for any value.
 	Workers int
@@ -165,9 +160,6 @@ type Runner struct {
 
 // NewRunner returns a Runner for the given config.
 func NewRunner(cfg Config) *Runner {
-	if cfg.Obs == nil && cfg.Log != nil {
-		cfg.Obs = obs.New(obs.Info, obs.NewTextSink(cfg.Log))
-	}
 	return &Runner{Cfg: cfg, cache: map[string]*Trained{}}
 }
 

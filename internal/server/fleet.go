@@ -305,28 +305,21 @@ func (f *jobFleet) RunSweep(ctx context.Context, job core.SweepJob, start int) (
 		Scope: job.Scope, Benchmark: f.benchmark, Quick: f.quick, TrainSeed: f.trainSeed,
 		Options: optionsWire(job.Opts), Evals: job.Evals, NB: job.NB, Examples: job.Examples,
 	}
-	return f.m.runSweep(ctx, wire, start, job.Window)
+	return f.m.runSweep(ctx, wire, start)
 }
 
-// runSweep registers one sweep's windows [start, NB) for leasing and
-// returns the channel its results arrive on. The channel is buffered to
+// runSweep registers one sweep's batches [start, NB) for leasing, one
+// batch per window, and returns the channel its results arrive on. The channel is buffered to
 // hold every window, so completions never block on the fold loop; it
 // closes when the last window completes or ctx is cancelled, whichever
 // comes first.
-func (m *FleetManager) runSweep(ctx context.Context, wire WireSweep, start, window int) (<-chan core.WindowResult, error) {
-	if window < 1 {
-		window = 1
-	}
+func (m *FleetManager) runSweep(ctx context.Context, wire WireSweep, start int) (<-chan core.WindowResult, error) {
 	if start < 0 || start > wire.NB {
 		return nil, fmt.Errorf("fleet: sweep %s start %d out of range (nb=%d)", wire.ID, start, wire.NB)
 	}
 	var windows []*fleetWindow
-	for b0 := start; b0 < wire.NB; b0 += window {
-		b1 := b0 + window
-		if b1 > wire.NB {
-			b1 = wire.NB
-		}
-		windows = append(windows, &fleetWindow{b0: b0, b1: b1})
+	for b0 := start; b0 < wire.NB; b0++ {
+		windows = append(windows, &fleetWindow{b0: b0, b1: b0 + 1})
 	}
 	fs := &fleetSweep{
 		wire: wire, windows: windows, remaining: len(windows),

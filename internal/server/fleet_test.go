@@ -67,7 +67,7 @@ func counts(evals, b0 int) []int {
 
 func TestFleetManagerLeaseCompleteLifecycle(t *testing.T) {
 	m, _, _ := testFleetManager(time.Minute)
-	ch, err := m.runSweep(context.Background(), testWireSweep("j1/s1", 2, 3), 0, 1)
+	ch, err := m.runSweep(context.Background(), testWireSweep("j1/s1", 2, 3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestFleetManagerLeaseCompleteLifecycle(t *testing.T) {
 
 func TestFleetManagerDuplicateAndUnleasedCompletions(t *testing.T) {
 	m, _, o := testFleetManager(time.Minute)
-	ch, err := m.runSweep(context.Background(), testWireSweep("j1/s1", 1, 2), 0, 1)
+	ch, err := m.runSweep(context.Background(), testWireSweep("j1/s1", 1, 2), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestFleetManagerDuplicateAndUnleasedCompletions(t *testing.T) {
 
 func TestFleetManagerExpiryReissueAndLateCompletion(t *testing.T) {
 	m, fc, o := testFleetManager(time.Second)
-	if _, err := m.runSweep(context.Background(), testWireSweep("j1/s1", 1, 2), 0, 1); err != nil {
+	if _, err := m.runSweep(context.Background(), testWireSweep("j1/s1", 1, 2), 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -208,7 +208,7 @@ func TestFleetManagerExpiryReissueAndLateCompletion(t *testing.T) {
 
 func TestFleetManagerRenewKeepsLeaseAlive(t *testing.T) {
 	m, fc, _ := testFleetManager(time.Second)
-	if _, err := m.runSweep(context.Background(), testWireSweep("j1/s1", 1, 2), 0, 1); err != nil {
+	if _, err := m.runSweep(context.Background(), testWireSweep("j1/s1", 1, 2), 0); err != nil {
 		t.Fatal(err)
 	}
 	l1, _ := m.Lease("w1")
@@ -235,7 +235,7 @@ func TestFleetManagerRenewKeepsLeaseAlive(t *testing.T) {
 func TestFleetManagerContextCancelClosesSweep(t *testing.T) {
 	m, _, _ := testFleetManager(time.Minute)
 	ctx, cancel := context.WithCancel(context.Background())
-	ch, err := m.runSweep(ctx, testWireSweep("j1/s1", 1, 3), 0, 1)
+	ch, err := m.runSweep(ctx, testWireSweep("j1/s1", 1, 3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,11 +256,11 @@ func TestFleetManagerContextCancelClosesSweep(t *testing.T) {
 	}
 
 	// A duplicate registration under a live ID is refused.
-	ch2, err := m.runSweep(context.Background(), testWireSweep("j1/s2", 1, 1), 0, 1)
+	ch2, err := m.runSweep(context.Background(), testWireSweep("j1/s2", 1, 1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.runSweep(context.Background(), testWireSweep("j1/s2", 1, 1), 0, 1); err == nil {
+	if _, err := m.runSweep(context.Background(), testWireSweep("j1/s2", 1, 1), 0); err == nil {
 		t.Fatal("duplicate sweep ID registered")
 	}
 	if status, err := m.Complete(completeRequest{SweepID: "j1/s2", B0: 0, B1: 1, Correct: []int{1}}); err != nil || status != CompleteOK {
@@ -300,7 +300,7 @@ func TestFleetHTTPEndpoints(t *testing.T) {
 		t.Fatalf("unknown renew: HTTP %d", resp.StatusCode)
 	}
 
-	ch, err := s.Fleet().runSweep(context.Background(), testWireSweep("j1/s1", 2, 1), 0, 1)
+	ch, err := s.Fleet().runSweep(context.Background(), testWireSweep("j1/s1", 2, 1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

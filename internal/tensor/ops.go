@@ -24,26 +24,6 @@ func AxisStrides(shape []int, axis int) (outer, axisLen, inner int) {
 	return outer, axisLen, inner
 }
 
-// SumAxis sums t along the given axis, producing a tensor whose shape is t's
-// shape with that axis removed (rank reduced by one).
-func SumAxis(t *Tensor, axis int) *Tensor {
-	outer, n, inner := AxisStrides(t.Shape, axis)
-	shape := make([]int, 0, len(t.Shape)-1)
-	shape = append(shape, t.Shape[:axis]...)
-	shape = append(shape, t.Shape[axis+1:]...)
-	out := New(shape...)
-	for o := 0; o < outer; o++ {
-		for a := 0; a < n; a++ {
-			src := t.Data[(o*n+a)*inner : (o*n+a+1)*inner]
-			dst := out.Data[o*inner : (o+1)*inner]
-			for i, v := range src {
-				dst[i] += v
-			}
-		}
-	}
-	return out
-}
-
 // Softmax computes the softmax of t along the given axis, returning a new
 // tensor of the same shape. It is numerically stabilized by max-subtraction.
 func Softmax(t *Tensor, axis int) *Tensor {

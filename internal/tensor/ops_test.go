@@ -6,30 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestSumAxis(t *testing.T) {
-	x := NewFrom([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	s0 := SumAxis(x, 0)
-	if s0.Shape[0] != 3 || s0.Data[0] != 5 || s0.Data[2] != 9 {
-		t.Fatalf("SumAxis 0 = %v %v", s0.Shape, s0.Data)
-	}
-	s1 := SumAxis(x, 1)
-	if s1.Shape[0] != 2 || s1.Data[0] != 6 || s1.Data[1] != 15 {
-		t.Fatalf("SumAxis 1 = %v %v", s1.Shape, s1.Data)
-	}
-}
-
-func TestSumAxisMiddle(t *testing.T) {
-	x := New(2, 3, 4).FillUniform(NewRNG(1), -1, 1)
-	s := SumAxis(x, 1)
-	if s.Shape[0] != 2 || s.Shape[1] != 4 {
-		t.Fatalf("shape %v", s.Shape)
-	}
-	want := x.At(1, 0, 2) + x.At(1, 1, 2) + x.At(1, 2, 2)
-	if !almostEqual(s.At(1, 2), want, 1e-12) {
-		t.Fatalf("middle-axis sum = %g, want %g", s.At(1, 2), want)
-	}
-}
-
 func TestSoftmaxSumsToOne(t *testing.T) {
 	x := New(3, 5, 2).FillNormal(NewRNG(2), 0, 3)
 	sm := Softmax(x, 1)
@@ -188,7 +164,7 @@ func TestAxisOutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	SumAxis(New(2, 2), 2)
+	Softmax(New(2, 2), 2)
 }
 
 func TestHistogramBinsAndClamp(t *testing.T) {

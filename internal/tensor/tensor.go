@@ -40,11 +40,6 @@ func NewFrom(data []float64, shape ...int) *Tensor {
 	return &Tensor{Shape: append([]int(nil), shape...), Data: data}
 }
 
-// Scalar returns a rank-0 tensor holding v.
-func Scalar(v float64) *Tensor {
-	return &Tensor{Shape: []int{}, Data: []float64{v}}
-}
-
 func checkShape(shape []int) int {
 	n := 1
 	for _, d := range shape {

@@ -1,7 +1,7 @@
 // Package train implements training for the CapsNet architectures: mirror
 // layers with hand-written backward passes (conv via im2col/col2im, squash
 // and softmax Jacobians, dynamic routing with straight-through coupling
-// coefficients), the margin loss of Sabour et al., and SGD/Adam optimizers.
+// coefficients), the margin loss of Sabour et al., and the Adam optimizer.
 //
 // Training exists to produce realistic weights for the resilience analysis
 // — the paper trains in TensorFlow on GPUs; here the whole stack is pure

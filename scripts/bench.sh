@@ -1,6 +1,7 @@
 #!/bin/sh
-# Runs the kernel and sweep-engine benchmarks and writes BENCH_<n>.json
-# (ns/op per benchmark plus the engine-vs-naive sweep speedups).
+# Runs the kernel and sweep-engine benchmarks and writes out.json
+# (default BENCH_local.json; ns/op per benchmark plus the engine-vs-naive
+# sweep speedups).
 #
 #   scripts/bench.sh [out.json]
 #
@@ -8,7 +9,7 @@
 # completes in CI time budgets.
 set -eu
 
-out=${1:-BENCH_1.json}
+out=${1:-BENCH_local.json}
 pattern='^(BenchmarkLayerSweepClassCaps|BenchmarkLayerSweepClassCapsNaive|BenchmarkGroupSweepEngine|BenchmarkGroupSweepNaive|BenchmarkMethodologyGroupSweepSmall|BenchmarkInferenceDeepCaps|BenchmarkInferenceApproxSoftmax|BenchmarkConv2DKernel|BenchmarkQuantConv2DExact|BenchmarkQuantConv2DLUT|BenchmarkQuantCapsVotes)$'
 
 raw=$(go test -run '^$' -bench "$pattern" -benchtime=10x .)
