@@ -14,7 +14,6 @@ import (
 	"redcane/internal/core"
 	"redcane/internal/datasets"
 	"redcane/internal/models"
-	"redcane/internal/params"
 	"redcane/internal/tensor"
 	"redcane/internal/train"
 )
@@ -43,14 +42,9 @@ func main() {
 	})
 	fmt.Printf("trained: test accuracy %.2f%%\n\n", 100*res.TestAccuracy)
 
-	// 3. Transfer the weights into the instrumented inference network.
-	net, err := models.BuildInference(spec, 99)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := params.FromParams(trainer.ParamMap()).LoadInto(net.Params()); err != nil {
-		log.Fatal(err)
-	}
+	// 3. The trainer trained the instrumented inference network in
+	//    place.
+	net := trainer.Net
 
 	// 4. Group-wise resilience analysis (methodology Steps 1–3): sweep
 	//    the noise magnitude per Table III operation group.

@@ -2,6 +2,7 @@ package approx
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"redcane/internal/tensor"
@@ -152,11 +153,13 @@ func TestRegistryLookups(t *testing.T) {
 	if _, err := ByName("mul8u_NOPE"); err == nil {
 		t.Fatal("lookup of unknown component succeeded")
 	}
-	sorted := SortedByPower()
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i].PowerUW < sorted[i-1].PowerUW {
-			t.Fatal("SortedByPower not ascending")
-		}
+	// Sorted by power, the accurate multiplier costs the most; Library
+	// returns a copy, so sorting it leaves the registry as it was.
+	sorted := Library()
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].PowerUW < sorted[j].PowerUW })
+	if sorted[len(sorted)-1].Name != Accurate().Name || Library()[0].Name != Accurate().Name {
+		t.Fatalf("most power-hungry = %s, registry head = %s; want %s for both",
+			sorted[len(sorted)-1].Name, Library()[0].Name, Accurate().Name)
 	}
 }
 

@@ -1,9 +1,6 @@
 package approx
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Component bundles a behavioral multiplier model with the physical
 // metadata of the corresponding EvoApprox8B component from Table IV of the
@@ -81,12 +78,3 @@ func ByName(name string) (Component, error) {
 
 // Accurate returns the exact reference multiplier component (mul8u_1JFF).
 func Accurate() Component { return components[0] }
-
-// SortedByPower returns the library sorted by ascending power, i.e. most
-// aggressive first — the order in which the ReD-CaNe selection step scans
-// for the cheapest component meeting an NM budget.
-func SortedByPower() []Component {
-	out := Library()
-	sort.Slice(out, func(i, j int) bool { return out[i].PowerUW < out[j].PowerUW })
-	return out
-}

@@ -94,14 +94,6 @@ func TestConvCaps2DSquashBoundsNorms(t *testing.T) {
 	}
 }
 
-func TestConvCaps2DSkipSquash(t *testing.T) {
-	l := newCaps2D("C", 2, 2, 4, 3, 1, 1, 6)
-	l.SkipSquash = true
-	if len(l.Sites()) != 1 {
-		t.Fatalf("skip-squash layer should expose only MAC site, got %+v", l.Sites())
-	}
-}
-
 func TestConvCaps3DForwardShapeAndRouting(t *testing.T) {
 	l := newCaps3D("Caps3D", 4, 4, 5, 6, 3, 1, 1, 3, 7)
 	x := rt(8, 2, 16, 4, 4) // 4 caps × 4 dim

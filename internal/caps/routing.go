@@ -137,7 +137,7 @@ func (l *ClassCaps) ForwardExec(x *tensor.Tensor, inj noise.Injector, s *tensor.
 
 // FlattenCaps reinterprets x as [n, inCaps, inDim] with the network's
 // capsule layout (position-major per type, inCaps = caps·h·w). Exported
-// for external executors that mirror ClassCaps' vote stage.
+// for ClassCaps' backward pass in internal/train.
 func FlattenCaps(x *tensor.Tensor, inCaps, inDim int) *tensor.Tensor {
 	return flattenToCaps(x, inCaps, inDim)
 }

@@ -10,7 +10,6 @@ import (
 	"redcane/internal/datasets"
 	"redcane/internal/models"
 	"redcane/internal/noise"
-	"redcane/internal/params"
 	"redcane/internal/tensor"
 	"redcane/internal/train"
 )
@@ -38,15 +37,8 @@ func sharedAnalyzer(t *testing.T) *Analyzer {
 	if res.TestAccuracy < 0.8 {
 		t.Fatalf("fixture model too weak: %.2f", res.TestAccuracy)
 	}
-	net, err := models.BuildInference(spec, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := params.FromParams(m.ParamMap()).LoadInto(net.Params()); err != nil {
-		t.Fatal(err)
-	}
 	shared = &Analyzer{
-		Net:  net,
+		Net:  m.Net,
 		Data: ds,
 		Opts: Options{
 			NMSweep:   []float64{0.5, 0.1, 0.01, 0},

@@ -349,10 +349,12 @@ func (r *Runner) Trained(b Benchmark) (*Trained, error) {
 	r.obs().Info("training benchmark", obs.F("benchmark", key),
 		obs.F("samples", ds.TrainX.Shape[0]), obs.F("epochs", r.epochs(b.Arch)))
 	total := r.obs().StartSpan("train.benchmark", obs.F("benchmark", key))
+	// A fresh build: an unusable cache may have been half loaded into net.
 	m, err := models.BuildTrainer(spec, r.Cfg.Seed+11)
 	if err != nil {
 		return nil, err
 	}
+	net = m.Net
 	sz := ds.Channels * ds.H * ds.W
 	calibN := 32
 	if calibN > ds.TrainX.Shape[0] {
@@ -377,17 +379,13 @@ func (r *Runner) Trained(b Benchmark) (*Trained, error) {
 		// cached — a rerun restarts this benchmark's training from scratch.
 		return nil, fmt.Errorf("train %s: %w", key, err)
 	}
-	store := params.FromParams(m.ParamMap())
-	if err := store.LoadInto(net.Params()); err != nil {
-		return nil, err
-	}
 	if cachePath != "" {
 		// Cache write failures are non-fatal, but never silent: a broken
 		// cache dir means every future run retrains from scratch.
 		if err := os.MkdirAll(r.Cfg.Dir, 0o755); err != nil {
 			r.obs().Warn("weight-cache dir create failed",
 				obs.F("dir", r.Cfg.Dir), obs.F("err", err))
-		} else if err := store.Save(cachePath); err != nil {
+		} else if err := params.FromParams(net.Params()).Save(cachePath); err != nil {
 			r.obs().Warn("weight-cache save failed",
 				obs.F("path", cachePath), obs.F("err", err))
 		}

@@ -1,7 +1,6 @@
 package models
 
 import (
-	"math"
 	"testing"
 
 	"redcane/internal/noise"
@@ -76,8 +75,8 @@ func TestCapsNetGeometry(t *testing.T) {
 
 func TestTrainerMatchesInferenceAfterWeightTransfer(t *testing.T) {
 	// The entire resilience methodology depends on this: weights trained
-	// in internal/train must produce identical outputs when loaded into
-	// the internal/caps inference network.
+	// in internal/train must produce bit-identical outputs when loaded
+	// into the internal/caps inference network.
 	for _, spec := range []Spec{
 		CapsNet([]int{1, 20, 20}, 4),
 		DeepCaps([]int{3, 16, 16}, 4),
@@ -90,7 +89,7 @@ func TestTrainerMatchesInferenceAfterWeightTransfer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		store := params.FromParams(trainer.ParamMap())
+		store := params.FromParams(trainer.Net.Params())
 		if err := store.LoadInto(net.Params()); err != nil {
 			t.Fatalf("%s: transfer: %v", spec.Name, err)
 		}
@@ -102,7 +101,7 @@ func TestTrainerMatchesInferenceAfterWeightTransfer(t *testing.T) {
 			t.Fatalf("%s: shapes %v vs %v", spec.Name, wantOut.Shape, gotOut.Shape)
 		}
 		for i := range wantOut.Data {
-			if math.Abs(wantOut.Data[i]-gotOut.Data[i]) > 1e-9 {
+			if wantOut.Data[i] != gotOut.Data[i] {
 				t.Fatalf("%s: output[%d] = %g (inference) vs %g (trainer)",
 					spec.Name, i, gotOut.Data[i], wantOut.Data[i])
 			}
@@ -158,18 +157,18 @@ func TestParamNameParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tp := trainer.ParamMap()
+	tp := trainer.Params()
 	np := net.Params()
 	if len(tp) != len(np) {
 		t.Fatalf("param counts differ: trainer %d vs inference %d", len(tp), len(np))
 	}
-	for name, w := range np {
-		tw, ok := tp[name]
+	for _, p := range tp {
+		w, ok := np[p.Name]
 		if !ok {
-			t.Fatalf("trainer missing param %q", name)
+			t.Fatalf("inference missing param %q", p.Name)
 		}
-		if !tw.SameShape(w) {
-			t.Fatalf("param %q shapes differ: %v vs %v", name, tw.Shape, w.Shape)
+		if !p.W.SameShape(w) {
+			t.Fatalf("param %q shapes differ: %v vs %v", p.Name, p.W.Shape, w.Shape)
 		}
 	}
 }

@@ -1,7 +1,6 @@
-// Package params provides a named-tensor store used to move trained
-// weights between the trainer, the inference network and disk (gob
-// encoding). Names follow the "<layer>/<tensor>" convention used by the
-// caps and train packages.
+// Package params provides a named-tensor store used to move a network's
+// trained weights to and from disk (gob encoding). Names follow the
+// "<layer>/<tensor>" convention of caps.Network.Params.
 package params
 
 import (

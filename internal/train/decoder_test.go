@@ -130,10 +130,10 @@ func TestDecoderLossNumericGradient(t *testing.T) {
 func TestFitWithReconstructionStillLearns(t *testing.T) {
 	ds := datasets.MNISTLike(120, 60, 42)
 	ds = filterClasses(ds, 3)
-	m := &Model{ModelName: "tiny", Layers: []Layer{
-		NewConv2D("Conv2D", 1, 8, 9, 1, 0, true, 1),
-		NewConvCaps2D("Primary", 8, 4, 8, 9, 2, 0, 2),
-		NewClassCaps("ClassCaps", 4*2*2, 8, 3, 8, 3, 3),
+	m := &Model{Layers: []Layer{
+		newConv2D("Conv2D", 1, 8, 9, 1, 0, true, 1),
+		newConvCaps2D("Primary", 8, 4, 8, 9, 2, 0, 2),
+		newClassCaps("ClassCaps", 4*2*2, 8, 3, 8, 3, 3),
 	}}
 	dec := NewDecoder(3, 8, 32, 32, 400, 4)
 	res := Fit(m, ds, Config{

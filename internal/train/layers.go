@@ -1,17 +1,24 @@
-// Package train implements training for the CapsNet architectures: mirror
-// layers with hand-written backward passes (conv via im2col/col2im, squash
-// and softmax Jacobians, dynamic routing with straight-through coupling
-// coefficients), the margin loss of Sabour et al., and the Adam optimizer.
+// Package train trains the CapsNet architectures of internal/caps in
+// place. Each trainable layer wraps one inference layer: its forward pass
+// is that layer's own float forward, so training and the resilience
+// analysis share one implementation per layer kind, and train adds only
+// the hand-written backward passes (conv via im2col/col2im, squash
+// Jacobians, dynamic routing with straight-through coupling
+// coefficients), the margin loss of Sabour et al., the Adam optimizer,
+// LSUV initialization and the reconstruction decoder.
 //
 // Training exists to produce realistic weights for the resilience analysis
 // — the paper trains in TensorFlow on GPUs; here the whole stack is pure
-// Go (DESIGN.md §2). Layer parameter names match the inference layers in
-// internal/caps exactly, so a trained model transfers via internal/params.
+// Go (DESIGN.md §2). A wrapped layer's parameters are the inference
+// layer's weight tensors, so a trained Model leaves its network ready to
+// analyse, with no weight transfer.
 package train
 
 import (
 	"fmt"
 
+	"redcane/internal/caps"
+	"redcane/internal/noise"
 	"redcane/internal/tensor"
 )
 
@@ -40,61 +47,88 @@ type Layer interface {
 	Params() []*Param
 }
 
-// Conv2D is the trainable convolution (+ optional ReLU) layer.
+// Wrap returns the trainable view of net: one Layer per network layer,
+// each training its inference layer's weight tensors in place.
+func Wrap(net *caps.Network) *Model {
+	m := &Model{Net: net}
+	for _, l := range net.Layers {
+		m.Layers = append(m.Layers, wrap(l))
+	}
+	return m
+}
+
+// wrap returns the trainable layer for one inference layer.
+func wrap(l caps.Layer) Layer {
+	switch t := l.(type) {
+	case *caps.Conv2D:
+		return &Conv2D{L: t, W: newParam(t.LayerName+"/W", t.W), B: newParam(t.LayerName+"/B", t.B), s: tensor.NewScratch()}
+	case *caps.ConvCaps2D:
+		return &ConvCaps2D{L: t, W: newParam(t.LayerName+"/W", t.W), B: newParam(t.LayerName+"/B", t.B), s: tensor.NewScratch()}
+	case *caps.ConvCaps3D:
+		return &ConvCaps3D{L: t, W: newParam(t.LayerName+"/W", t.W), s: tensor.NewScratch()}
+	case *caps.ClassCaps:
+		return &ClassCaps{L: t, W: newParam(t.LayerName+"/W", t.W)}
+	case *caps.CapsCell:
+		return &CapsCell{CellName: t.CellName, L1: wrap(t.L1), L2: wrap(t.L2), L3: wrap(t.L3), Skip: wrap(t.Skip)}
+	}
+	panic(fmt.Sprintf("train: no trainable layer for %T", l))
+}
+
+// tape records one forward pass of a wrapped layer for its backward pass:
+// the layer input and, as the noise.Injector the inference layer runs
+// under, the MAC outputs (pre-activation or routing votes) and the last
+// coupling coefficients. It injects nothing. The forward runs with a nil
+// scratch arena, so no recorded tensor is ever recycled.
+type tape struct {
+	x, mac, k *tensor.Tensor
+}
+
+// Inject implements noise.Injector.
+func (t *tape) Inject(s noise.Site, x *tensor.Tensor) *tensor.Tensor {
+	switch s.Group {
+	case noise.MACOutputs:
+		t.mac = x
+	case noise.Softmax:
+		t.k = x
+	}
+	return x
+}
+
+// execLayer is the backend-aware forward every wrapped caps layer has.
+type execLayer interface {
+	ForwardExec(x *tensor.Tensor, inj noise.Injector, s *tensor.Scratch, be caps.Backend) *tensor.Tensor
+}
+
+// record runs l's float forward on x and records it.
+func (t *tape) record(l execLayer, x *tensor.Tensor) *tensor.Tensor {
+	*t = tape{x: x}
+	return l.ForwardExec(x, t, nil, caps.Float{})
+}
+
+// preAct returns the recorded pre-activation (or votes), the tensor LSUV
+// calibrates.
+func (t *tape) preAct() *tensor.Tensor { return t.mac }
+
+// Conv2D trains a caps.Conv2D (convolution plus optional ReLU).
 type Conv2D struct {
-	LayerName string
-	W, B      *Param
-	Stride    int
-	Pad       int
-	ReLU      bool
-
-	x, pre  *tensor.Tensor  // caches
-	scratch *tensor.Scratch // recycles im2col/matmul temporaries across steps
-}
-
-// arena lazily builds the layer's scratch arena. Layers are documented as
-// not safe for concurrent use, so a private per-layer arena needs no
-// locking; forward outputs are cached across the step and therefore never
-// released into it — only internal temporaries recycle.
-func (l *Conv2D) arena() *tensor.Scratch {
-	if l.scratch == nil {
-		l.scratch = tensor.NewScratch()
-	}
-	return l.scratch
-}
-
-// NewConv2D builds a trainable convolution with Glorot-initialized
-// weights.
-func NewConv2D(name string, inCh, outCh, k, stride, pad int, relu bool, seed uint64) *Conv2D {
-	w := tensor.New(outCh, inCh, k, k).FillGlorot(tensor.NewRNG(seed), inCh*k*k, outCh*k*k)
-	return &Conv2D{
-		LayerName: name,
-		W:         newParam(name+"/W", w),
-		B:         newParam(name+"/B", tensor.New(outCh)),
-		Stride:    stride, Pad: pad, ReLU: relu,
-	}
+	L    *caps.Conv2D
+	W, B *Param
+	tape
+	s *tensor.Scratch // recycles backward temporaries across steps
 }
 
 // Name implements Layer.
-func (l *Conv2D) Name() string { return l.LayerName }
+func (l *Conv2D) Name() string { return l.L.LayerName }
 
 // Forward implements Layer.
-func (l *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	l.x = x
-	y := tensor.Conv2DScratch(x, l.W.W, l.B.W, l.Stride, l.Pad, l.arena())
-	l.pre = y
-	if l.ReLU {
-		return tensor.ReLU(y)
-	}
-	return y
-}
+func (l *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor { return l.record(l.L, x) }
 
 // Backward implements Layer.
 func (l *Conv2D) Backward(gy *tensor.Tensor) *tensor.Tensor {
-	if l.ReLU {
-		gy = tensor.ReLUBackward(l.pre, gy)
+	if l.L.ReLU {
+		gy = tensor.ReLUBackward(l.mac, gy)
 	}
-	gx, gw, gb := tensor.Conv2DBackwardScratch(l.x, l.W.W, gy, l.Stride, l.Pad, l.arena())
+	gx, gw, gb := tensor.Conv2DBackwardScratch(l.x, l.W.W, gy, l.L.Stride, l.L.Pad, l.s)
 	l.W.G.AddInPlace(gw)
 	l.B.G.AddInPlace(gb)
 	return gx
@@ -103,58 +137,27 @@ func (l *Conv2D) Backward(gy *tensor.Tensor) *tensor.Tensor {
 // Params implements Layer.
 func (l *Conv2D) Params() []*Param { return []*Param{l.W, l.B} }
 
-// ConvCaps2D is the trainable convolutional capsule layer: convolution
-// followed by a squash over each capsule's components.
+// ConvCaps2D trains a caps.ConvCaps2D: convolution followed by a squash
+// over each capsule's components.
 type ConvCaps2D struct {
-	LayerName string
-	Caps, Dim int
-	W, B      *Param
-	Stride    int
-	Pad       int
-
-	x, pre  *tensor.Tensor
-	scratch *tensor.Scratch
-}
-
-// arena lazily builds the layer's scratch arena (see Conv2D.arena).
-func (l *ConvCaps2D) arena() *tensor.Scratch {
-	if l.scratch == nil {
-		l.scratch = tensor.NewScratch()
-	}
-	return l.scratch
-}
-
-// NewConvCaps2D builds a trainable ConvCaps2D.
-func NewConvCaps2D(name string, inCh, caps, dim, k, stride, pad int, seed uint64) *ConvCaps2D {
-	w := tensor.New(caps*dim, inCh, k, k).FillGlorot(tensor.NewRNG(seed), inCh*k*k, caps*dim*k*k)
-	return &ConvCaps2D{
-		LayerName: name, Caps: caps, Dim: dim,
-		W:      newParam(name+"/W", w),
-		B:      newParam(name+"/B", tensor.New(caps*dim)),
-		Stride: stride, Pad: pad,
-	}
+	L    *caps.ConvCaps2D
+	W, B *Param
+	tape
+	s *tensor.Scratch // recycles backward temporaries across steps
 }
 
 // Name implements Layer.
-func (l *ConvCaps2D) Name() string { return l.LayerName }
+func (l *ConvCaps2D) Name() string { return l.L.LayerName }
 
 // Forward implements Layer.
-func (l *ConvCaps2D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	l.x = x
-	y := tensor.Conv2DScratch(x, l.W.W, l.B.W, l.Stride, l.Pad, l.arena())
-	n, h, w := y.Shape[0], y.Shape[2], y.Shape[3]
-	l.pre = y.Reshape(n, l.Caps, l.Dim, h, w)
-	sq := tensor.Squash(l.pre, 2)
-	return sq.Reshape(n, l.Caps*l.Dim, h, w)
-}
+func (l *ConvCaps2D) Forward(x *tensor.Tensor) *tensor.Tensor { return l.record(l.L, x) }
 
 // Backward implements Layer.
 func (l *ConvCaps2D) Backward(gy *tensor.Tensor) *tensor.Tensor {
-	n, h, w := l.pre.Shape[0], l.pre.Shape[3], l.pre.Shape[4]
-	g5 := gy.Reshape(n, l.Caps, l.Dim, h, w)
-	gpre := tensor.SquashBackward(l.pre, g5, 2)
-	gconv := gpre.Reshape(n, l.Caps*l.Dim, h, w)
-	gx, gw, gb := tensor.Conv2DBackwardScratch(l.x, l.W.W, gconv, l.Stride, l.Pad, l.arena())
+	n, ch, h, w := l.mac.Shape[0], l.mac.Shape[1], l.mac.Shape[2], l.mac.Shape[3]
+	caps5 := []int{n, l.L.Caps, l.L.Dim, h, w}
+	gpre := tensor.SquashBackward(l.mac.Reshape(caps5...), gy.Reshape(caps5...), 2)
+	gx, gw, gb := tensor.Conv2DBackwardScratch(l.x, l.W.W, gpre.Reshape(n, ch, h, w), l.L.Stride, l.L.Pad, l.s)
 	l.W.G.AddInPlace(gw)
 	l.B.G.AddInPlace(gb)
 	return gx
@@ -163,8 +166,8 @@ func (l *ConvCaps2D) Backward(gy *tensor.Tensor) *tensor.Tensor {
 // Params implements Layer.
 func (l *ConvCaps2D) Params() []*Param { return []*Param{l.W, l.B} }
 
-// CapsCell mirrors the DeepCaps residual cell: out = L3(L2(L1(x))) +
-// Skip(L1(x)).
+// CapsCell trains a caps.CapsCell: out = L3(L2(L1(x))) + Skip(L1(x)),
+// with each branch layer wrapping its inference layer.
 type CapsCell struct {
 	CellName   string
 	L1, L2, L3 Layer
@@ -176,9 +179,15 @@ func (c *CapsCell) Name() string { return c.CellName }
 
 // Forward implements Layer.
 func (c *CapsCell) Forward(x *tensor.Tensor) *tensor.Tensor {
-	a := c.L1.Forward(x)
-	main := c.L3.Forward(c.L2.Forward(a))
-	skip := c.Skip.Forward(a)
+	return c.apply(x, Layer.Forward)
+}
+
+// apply evaluates the cell's graph with f running each branch layer, in
+// caps.CapsCell's order.
+func (c *CapsCell) apply(x *tensor.Tensor, f func(Layer, *tensor.Tensor) *tensor.Tensor) *tensor.Tensor {
+	a := f(c.L1, x)
+	main := f(c.L3, f(c.L2, a))
+	skip := f(c.Skip, a)
 	if !main.SameShape(skip) {
 		panic(fmt.Sprintf("train: cell %s branch shapes %v vs %v", c.CellName, main.Shape, skip.Shape))
 	}
@@ -203,8 +212,10 @@ func (c *CapsCell) Params() []*Param {
 
 // Model is an ordered stack of trainable layers.
 type Model struct {
-	ModelName string
-	Layers    []Layer
+	// Net is the wrapped inference network whose weights the layers
+	// train (nil for a stack assembled by hand).
+	Net    *caps.Network
+	Layers []Layer
 }
 
 // Forward runs all layers.
@@ -236,14 +247,4 @@ func (m *Model) ZeroGrad() {
 	for _, p := range m.Params() {
 		p.ZeroGrad()
 	}
-}
-
-// ParamMap exposes the weights keyed by name, matching the inference
-// network's Params() keys for transfer via internal/params.
-func (m *Model) ParamMap() map[string]*tensor.Tensor {
-	out := map[string]*tensor.Tensor{}
-	for _, p := range m.Params() {
-		out[p.Name] = p.W
-	}
-	return out
 }

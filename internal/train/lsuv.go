@@ -28,11 +28,9 @@ func LSUVInit(m *Model, x *tensor.Tensor, target float64) {
 // output on the calibration batch.
 func lsuvLayer(l Layer, x *tensor.Tensor, target float64) *tensor.Tensor {
 	if cell, ok := l.(*CapsCell); ok {
-		a := lsuvLayer(cell.L1, x, target)
-		b := lsuvLayer(cell.L2, a, target)
-		main := lsuvLayer(cell.L3, b, target)
-		skip := lsuvLayer(cell.Skip, a, target)
-		return tensor.Add(main, skip)
+		return cell.apply(x, func(l Layer, x *tensor.Tensor) *tensor.Tensor {
+			return lsuvLayer(l, x, target)
+		})
 	}
 	const maxIters = 8
 	var y *tensor.Tensor
@@ -53,18 +51,11 @@ func lsuvLayer(l Layer, x *tensor.Tensor, target float64) *tensor.Tensor {
 	return l.Forward(x)
 }
 
-// preActStd reports the pre-activation std of a freshly Forwarded layer.
+// preActStd reports the pre-activation std of a freshly Forwarded layer
+// (0 for layers without one).
 func preActStd(l Layer) float64 {
-	switch v := l.(type) {
-	case *Conv2D:
-		return v.pre.Std()
-	case *ConvCaps2D:
-		return v.pre.Std()
-	case *ConvCaps3D:
-		return v.cache.votes.Std()
-	case *ClassCaps:
-		return v.cache.votes.Std()
-	default:
-		return 0
+	if t, ok := l.(interface{ preAct() *tensor.Tensor }); ok {
+		return t.preAct().Std()
 	}
+	return 0
 }

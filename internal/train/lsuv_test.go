@@ -4,19 +4,20 @@ import (
 	"math"
 	"testing"
 
+	"redcane/internal/caps"
 	"redcane/internal/tensor"
 )
 
 // deepStack builds a deliberately deep caps stack that collapses without
 // LSUV.
 func deepStack() *Model {
-	layers := []Layer{NewConv2D("Conv2D", 1, 8, 3, 1, 1, true, 1)}
+	layers := []Layer{newConv2D("Conv2D", 1, 8, 3, 1, 1, true, 1)}
 	in := 8
 	for i := 1; i <= 6; i++ {
-		layers = append(layers, NewConvCaps2D(layerName(i), in, 2, 4, 3, 1, 1, uint64(i+1)))
+		layers = append(layers, newConvCaps2D(layerName(i), in, 2, 4, 3, 1, 1, uint64(i+1)))
 		in = 8
 	}
-	return &Model{ModelName: "deep", Layers: layers}
+	return &Model{Layers: layers}
 }
 
 func layerName(i int) string {
@@ -35,21 +36,21 @@ func TestLSUVRestoresSignalPropagation(t *testing.T) {
 	}
 	// The final layer's pre-activation std must sit near the target.
 	last := m.Layers[len(m.Layers)-1].(*ConvCaps2D)
-	if math.Abs(last.pre.Std()-0.5) > 0.05 {
-		t.Fatalf("final pre-activation std = %g, want ≈0.5", last.pre.Std())
+	if math.Abs(last.mac.Std()-0.5) > 0.05 {
+		t.Fatalf("final pre-activation std = %g, want ≈0.5", last.mac.Std())
 	}
 }
 
 func TestLSUVHandlesCells(t *testing.T) {
 	cell := &CapsCell{
 		CellName: "Cell1",
-		L1:       NewConvCaps2D("Caps2D1", 8, 2, 4, 3, 2, 1, 11),
-		L2:       NewConvCaps2D("Caps2D2", 8, 2, 4, 3, 1, 1, 12),
-		L3:       NewConvCaps2D("Caps2D3", 8, 2, 4, 3, 1, 1, 13),
-		Skip:     NewConvCaps2D("Caps2D4", 8, 2, 4, 3, 1, 1, 14),
+		L1:       newConvCaps2D("Caps2D1", 8, 2, 4, 3, 2, 1, 11),
+		L2:       newConvCaps2D("Caps2D2", 8, 2, 4, 3, 1, 1, 12),
+		L3:       newConvCaps2D("Caps2D3", 8, 2, 4, 3, 1, 1, 13),
+		Skip:     newConvCaps2D("Caps2D4", 8, 2, 4, 3, 1, 1, 14),
 	}
-	m := &Model{ModelName: "cellnet", Layers: []Layer{
-		NewConv2D("Conv2D", 1, 8, 3, 1, 1, true, 10),
+	m := &Model{Layers: []Layer{
+		newConv2D("Conv2D", 1, 8, 3, 1, 1, true, 10),
 		cell,
 	}}
 	x := tensor.New(4, 1, 8, 8).FillUniform(tensor.NewRNG(15), 0, 1)
@@ -68,10 +69,10 @@ func TestLSUVHandlesCells(t *testing.T) {
 func TestCapsCellForwardBackwardShapes(t *testing.T) {
 	cell := &CapsCell{
 		CellName: "Cell1",
-		L1:       NewConvCaps2D("Caps2D1", 4, 2, 4, 3, 2, 1, 21),
-		L2:       NewConvCaps2D("Caps2D2", 8, 2, 4, 3, 1, 1, 22),
-		L3:       NewConvCaps2D("Caps2D3", 8, 2, 4, 3, 1, 1, 23),
-		Skip:     NewConvCaps2D("Caps2D4", 8, 2, 4, 3, 1, 1, 24),
+		L1:       newConvCaps2D("Caps2D1", 4, 2, 4, 3, 2, 1, 21),
+		L2:       newConvCaps2D("Caps2D2", 8, 2, 4, 3, 1, 1, 22),
+		L3:       newConvCaps2D("Caps2D3", 8, 2, 4, 3, 1, 1, 23),
+		Skip:     newConvCaps2D("Caps2D4", 8, 2, 4, 3, 1, 1, 24),
 	}
 	if cell.Name() != "Cell1" {
 		t.Fatal("cell name")
@@ -94,10 +95,10 @@ func TestCapsCellForwardBackwardShapes(t *testing.T) {
 func TestCapsCellGradientNumeric(t *testing.T) {
 	cell := &CapsCell{
 		CellName: "C",
-		L1:       NewConvCaps2D("a", 2, 1, 4, 3, 1, 1, 31),
-		L2:       NewConvCaps2D("b", 4, 1, 4, 3, 1, 1, 32),
-		L3:       NewConvCaps2D("c", 4, 1, 4, 3, 1, 1, 33),
-		Skip:     NewConvCaps2D("d", 4, 1, 4, 3, 1, 1, 34),
+		L1:       newConvCaps2D("a", 2, 1, 4, 3, 1, 1, 31),
+		L2:       newConvCaps2D("b", 4, 1, 4, 3, 1, 1, 32),
+		L3:       newConvCaps2D("c", 4, 1, 4, 3, 1, 1, 33),
+		Skip:     newConvCaps2D("d", 4, 1, 4, 3, 1, 1, 34),
 	}
 	x := tensor.New(1, 2, 4, 4).FillNormal(tensor.NewRNG(35), 0, 1)
 	out := cell.Forward(x)
@@ -115,10 +116,10 @@ func TestCapsCellGradientNumeric(t *testing.T) {
 func TestCellBranchMismatchPanics(t *testing.T) {
 	cell := &CapsCell{
 		CellName: "bad",
-		L1:       NewConvCaps2D("a", 2, 2, 4, 3, 2, 1, 41),
-		L2:       NewConvCaps2D("b", 8, 2, 4, 3, 1, 1, 42),
-		L3:       NewConvCaps2D("c", 8, 2, 4, 3, 1, 1, 43),
-		Skip:     NewConvCaps2D("d", 8, 2, 4, 3, 2, 1, 44), // extra stride
+		L1:       newConvCaps2D("a", 2, 2, 4, 3, 2, 1, 41),
+		L2:       newConvCaps2D("b", 8, 2, 4, 3, 1, 1, 42),
+		L3:       newConvCaps2D("c", 8, 2, 4, 3, 1, 1, 43),
+		Skip:     newConvCaps2D("d", 8, 2, 4, 3, 2, 1, 44), // extra stride
 	}
 	defer func() {
 		if recover() == nil {
@@ -129,15 +130,26 @@ func TestCellBranchMismatchPanics(t *testing.T) {
 }
 
 func TestParamMapAndNames(t *testing.T) {
-	m := &Model{Layers: []Layer{
-		NewConv2D("Conv2D", 1, 2, 3, 1, 1, false, 51),
-		NewConvCaps3D("Caps3D", 2, 1, 2, 2, 3, 1, 1, 2, 52),
-		NewClassCaps("ClassCaps", 4, 2, 2, 4, 2, 53),
+	// Wrapped parameters carry the inference layers' Params() names and
+	// are the very same tensors, so training updates the network in place.
+	net := &caps.Network{Layers: []caps.Layer{
+		newConv2D("Conv2D", 1, 2, 3, 1, 1, false, 51).L,
+		newConvCaps3D("Caps3D", 2, 1, 2, 2, 3, 1, 1, 2, 52).L,
+		newClassCaps("ClassCaps", 4, 2, 2, 4, 2, 53).L,
 	}}
-	pm := m.ParamMap()
-	for _, want := range []string{"Conv2D/W", "Conv2D/B", "Caps3D/W", "ClassCaps/W"} {
-		if _, ok := pm[want]; !ok {
-			t.Fatalf("ParamMap missing %q: %v", want, pm)
+	m := Wrap(net)
+	if m.Net != net {
+		t.Fatal("Wrap must keep the network")
+	}
+	np := net.Params()
+	want := []string{"Conv2D/W", "Conv2D/B", "Caps3D/W", "ClassCaps/W"}
+	ps := m.Params()
+	if len(ps) != len(want) || len(np) != len(want) {
+		t.Fatalf("%d trainer params, %d network params, want %d", len(ps), len(np), len(want))
+	}
+	for i, p := range ps {
+		if p.Name != want[i] || np[p.Name] != p.W {
+			t.Fatalf("param %d = %q, want %q sharing the network's tensor", i, p.Name, want[i])
 		}
 	}
 	if m.Layers[1].Name() != "Caps3D" || m.Layers[2].Name() != "ClassCaps" {

@@ -1,198 +1,98 @@
 package train
 
 import (
+	"redcane/internal/caps"
 	"redcane/internal/tensor"
 )
 
-// routingCache holds what the straight-through backward pass needs: the
-// final-iteration coupling coefficients (treated as constants), the
-// pre-squash weighted sum and the votes shape.
-type routingCache struct {
-	votes *tensor.Tensor // [n, inCaps, outCaps, outDim, pos]
-	k     *tensor.Tensor // [n, inCaps, outCaps, pos], final iteration
-	s     *tensor.Tensor // [n, outCaps, outDim, pos], pre-squash
-}
-
-// routeForward runs dynamic routing and returns the routed output
-// [n, outCaps, outDim, pos] plus the cache for backward.
-func routeForward(votes *tensor.Tensor, iterations int) (*tensor.Tensor, routingCache) {
-	if iterations < 1 {
-		iterations = 1
-	}
+// routeBackward propagates gv [n, outCaps, outDim, pos] through dynamic
+// routing's output squash and coefficient-weighted vote sum, treating the
+// final coupling coefficients k [n, inCaps, outCaps, pos] as constants
+// (straight-through), and returns the gradient with respect to the votes
+// [n, inCaps, outCaps, outDim, pos]. The pre-squash sum crosses no
+// injection site, so it is rebuilt from the votes and k in
+// caps.dynamicRouting's loop order, which reproduces its bits.
+func routeBackward(votes, k, gv *tensor.Tensor) *tensor.Tensor {
 	n, inCaps, outCaps := votes.Shape[0], votes.Shape[1], votes.Shape[2]
 	outDim, pos := votes.Shape[3], votes.Shape[4]
-	logits := tensor.New(n, inCaps, outCaps, pos)
-	var k, s, v *tensor.Tensor
-	for it := 0; it < iterations; it++ {
-		k = tensor.Softmax(logits, 2)
-		s = tensor.New(n, outCaps, outDim, pos)
+	// rows visits each (vote row, coefficient row, output row) offset.
+	rows := func(f func(vi, ki, si int)) {
 		for b := 0; b < n; b++ {
 			for i := 0; i < inCaps; i++ {
 				for j := 0; j < outCaps; j++ {
-					kRow := k.Data[((b*inCaps+i)*outCaps+j)*pos:]
+					ki := ((b*inCaps+i)*outCaps + j) * pos
 					for d := 0; d < outDim; d++ {
-						vRow := votes.Data[(((b*inCaps+i)*outCaps+j)*outDim+d)*pos:]
-						sRow := s.Data[((b*outCaps+j)*outDim+d)*pos:]
-						for p := 0; p < pos; p++ {
-							sRow[p] += kRow[p] * vRow[p]
-						}
-					}
-				}
-			}
-		}
-		v = tensor.Squash(s, 2)
-		if it == iterations-1 {
-			break
-		}
-		for b := 0; b < n; b++ {
-			for i := 0; i < inCaps; i++ {
-				for j := 0; j < outCaps; j++ {
-					lRow := logits.Data[((b*inCaps+i)*outCaps+j)*pos:]
-					for d := 0; d < outDim; d++ {
-						uRow := votes.Data[(((b*inCaps+i)*outCaps+j)*outDim+d)*pos:]
-						vRow := v.Data[((b*outCaps+j)*outDim+d)*pos:]
-						for p := 0; p < pos; p++ {
-							lRow[p] += uRow[p] * vRow[p]
-						}
+						f((((b*inCaps+i)*outCaps+j)*outDim+d)*pos, ki, ((b*outCaps+j)*outDim+d)*pos)
 					}
 				}
 			}
 		}
 	}
-	return v, routingCache{votes: votes, k: k, s: s}
-}
-
-// routeBackward propagates gv through squash and the coefficient-weighted
-// sum, treating the coupling coefficients as constants (straight-through);
-// it returns the gradient with respect to the votes.
-func routeBackward(c routingCache, gv *tensor.Tensor) *tensor.Tensor {
-	n, inCaps, outCaps := c.votes.Shape[0], c.votes.Shape[1], c.votes.Shape[2]
-	outDim, pos := c.votes.Shape[3], c.votes.Shape[4]
-	gs := tensor.SquashBackward(c.s, gv, 2)
-	gvotes := tensor.New(c.votes.Shape...)
-	for b := 0; b < n; b++ {
-		for i := 0; i < inCaps; i++ {
-			for j := 0; j < outCaps; j++ {
-				kRow := c.k.Data[((b*inCaps+i)*outCaps+j)*pos:]
-				for d := 0; d < outDim; d++ {
-					gRow := gs.Data[((b*outCaps+j)*outDim+d)*pos:]
-					dst := gvotes.Data[(((b*inCaps+i)*outCaps+j)*outDim+d)*pos:]
-					for p := 0; p < pos; p++ {
-						dst[p] = kRow[p] * gRow[p]
-					}
-				}
-			}
+	s := tensor.New(n, outCaps, outDim, pos)
+	rows(func(vi, ki, si int) {
+		for p := 0; p < pos; p++ {
+			s.Data[si+p] += k.Data[ki+p] * votes.Data[vi+p]
 		}
-	}
+	})
+	gs := tensor.SquashBackward(s, gv, 2)
+	gvotes := tensor.New(votes.Shape...)
+	rows(func(vi, ki, si int) {
+		for p := 0; p < pos; p++ {
+			gvotes.Data[vi+p] = k.Data[ki+p] * gs.Data[si+p]
+		}
+	})
 	return gvotes
 }
 
-// ConvCaps3D is the trainable 3D convolutional capsule layer with dynamic
-// routing (straight-through coefficients in backward).
+// ConvCaps3D trains a caps.ConvCaps3D, the 3D convolutional capsule
+// layer with dynamic routing (straight-through coefficients in backward).
 type ConvCaps3D struct {
-	LayerName         string
-	InCaps, InDim     int
-	OutCaps, OutDim   int
-	W                 *Param // [inCaps, outCaps*outDim, inDim, k, k]
-	Stride, Pad       int
-	RoutingIterations int
-
-	x       *tensor.Tensor
-	subs    []*tensor.Tensor // per-input-capsule inputs
-	cache   routingCache
-	oh      int
-	ow      int
-	scratch *tensor.Scratch // recycles per-capsule conv temporaries
-}
-
-// arena lazily builds the layer's scratch arena (see Conv2D.arena).
-func (l *ConvCaps3D) arena() *tensor.Scratch {
-	if l.scratch == nil {
-		l.scratch = tensor.NewScratch()
-	}
-	return l.scratch
-}
-
-// NewConvCaps3D builds a trainable ConvCaps3D.
-func NewConvCaps3D(name string, inCaps, inDim, outCaps, outDim, k, stride, pad, iters int, seed uint64) *ConvCaps3D {
-	w := tensor.New(inCaps, outCaps*outDim, inDim, k, k).
-		FillGlorot(tensor.NewRNG(seed), inDim*k*k, outCaps*outDim*k*k)
-	return &ConvCaps3D{
-		LayerName: name,
-		InCaps:    inCaps, InDim: inDim, OutCaps: outCaps, OutDim: outDim,
-		W:      newParam(name+"/W", w),
-		Stride: stride, Pad: pad, RoutingIterations: iters,
-	}
+	L *caps.ConvCaps3D
+	W *Param // [inCaps, outCaps*outDim, inDim, k, k]
+	tape
+	s *tensor.Scratch // recycles backward temporaries across steps
 }
 
 // Name implements Layer.
-func (l *ConvCaps3D) Name() string { return l.LayerName }
+func (l *ConvCaps3D) Name() string { return l.L.LayerName }
 
 // Forward implements Layer.
-func (l *ConvCaps3D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	l.x = x
-	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
-	k := l.W.W.Shape[4]
-	spec := tensor.ConvSpec{KH: k, KW: k, Stride: l.Stride, Pad: l.Pad}
-	oh, ow := spec.OutSize(h, w)
-	l.oh, l.ow = oh, ow
-	xi := x.Reshape(n, l.InCaps, l.InDim, h, w)
-	votes := tensor.New(n, l.InCaps, l.OutCaps, l.OutDim, oh*ow)
-	l.subs = make([]*tensor.Tensor, l.InCaps)
-	wsz := l.OutCaps * l.OutDim * l.InDim * k * k
-	for i := 0; i < l.InCaps; i++ {
-		sub := tensor.New(n, l.InDim, h, w)
-		for b := 0; b < n; b++ {
-			src := xi.Data[((b*l.InCaps+i)*l.InDim)*h*w : ((b*l.InCaps+i)*l.InDim+l.InDim)*h*w]
-			copy(sub.Data[b*l.InDim*h*w:], src)
-		}
-		l.subs[i] = sub
-		wi := tensor.NewFrom(l.W.W.Data[i*wsz:(i+1)*wsz], l.OutCaps*l.OutDim, l.InDim, k, k)
-		out := tensor.Conv2DScratch(sub, wi, nil, l.Stride, l.Pad, l.arena())
-		for b := 0; b < n; b++ {
-			copy(votes.Data[((b*l.InCaps+i)*l.OutCaps*l.OutDim)*oh*ow:],
-				out.Data[b*l.OutCaps*l.OutDim*oh*ow:(b+1)*l.OutCaps*l.OutDim*oh*ow])
-		}
-		l.scratch.Release(out) // copied out above; recycle for the next capsule
-	}
-	v, cache := routeForward(votes, l.RoutingIterations)
-	l.cache = cache
-	return v.Reshape(n, l.OutCaps*l.OutDim, oh, ow)
-}
+func (l *ConvCaps3D) Forward(x *tensor.Tensor) *tensor.Tensor { return l.record(l.L, x) }
 
-// Backward implements Layer.
+// Backward implements Layer. Each input capsule's votes are its own
+// convolution of that capsule's slice of the input.
 func (l *ConvCaps3D) Backward(gy *tensor.Tensor) *tensor.Tensor {
+	c := l.L
 	n, h, w := l.x.Shape[0], l.x.Shape[2], l.x.Shape[3]
-	k := l.W.W.Shape[4]
-	oh, ow := l.oh, l.ow
-	gv := gy.Reshape(n, l.OutCaps, l.OutDim, oh*ow)
-	gvotes := routeBackward(l.cache, gv)
+	oh, ow := gy.Shape[2], gy.Shape[3]
+	gvotes := routeBackward(l.mac, l.k, gy.Reshape(n, c.OutCaps, c.OutDim, oh*ow))
 
+	k := c.W.Shape[3]
+	outCh := c.OutCaps * c.OutDim
+	inSz, outSz, wsz := c.InDim*h*w, outCh*oh*ow, outCh*c.InDim*k*k
 	gx := tensor.New(l.x.Shape...)
-	gxi := gx.Reshape(n, l.InCaps, l.InDim, h, w)
-	wsz := l.OutCaps * l.OutDim * l.InDim * k * k
-	for i := 0; i < l.InCaps; i++ {
-		// Gather this capsule's vote gradients as [n, outCh, oh, ow];
-		// the copies below overwrite every element of the recycled buffer.
-		gout := l.arena().Take(n, l.OutCaps*l.OutDim, oh, ow)
+	for i := 0; i < c.InCaps; i++ {
+		// Gather capsule i's input slice and vote gradients; the copies
+		// overwrite every element of the recycled buffers.
+		sub := l.s.Take(n, c.InDim, h, w)
+		gout := l.s.Take(n, outCh, oh, ow)
 		for b := 0; b < n; b++ {
-			copy(gout.Data[b*l.OutCaps*l.OutDim*oh*ow:],
-				gvotes.Data[((b*l.InCaps+i)*l.OutCaps*l.OutDim)*oh*ow:((b*l.InCaps+i)*l.OutCaps*l.OutDim+l.OutCaps*l.OutDim)*oh*ow])
+			src := (b*c.InCaps + i) * inSz
+			copy(sub.Data[b*inSz:(b+1)*inSz], l.x.Data[src:src+inSz])
+			src = (b*c.InCaps + i) * outSz
+			copy(gout.Data[b*outSz:(b+1)*outSz], gvotes.Data[src:src+outSz])
 		}
-		wi := tensor.NewFrom(l.W.W.Data[i*wsz:(i+1)*wsz], l.OutCaps*l.OutDim, l.InDim, k, k)
-		gsub, gw, _ := tensor.Conv2DBackwardScratch(l.subs[i], wi, gout, l.Stride, l.Pad, l.arena())
-		// Accumulate weight gradient slice.
+		wi := tensor.NewFrom(c.W.Data[i*wsz:(i+1)*wsz], outCh, c.InDim, k, k)
+		gsub, gw, _ := tensor.Conv2DBackwardScratch(sub, wi, gout, c.Stride, c.Pad, l.s)
 		giw := l.W.G.Data[i*wsz : (i+1)*wsz]
 		for j, v := range gw.Data {
 			giw[j] += v
 		}
-		// Scatter input gradient back.
 		for b := 0; b < n; b++ {
-			dst := gxi.Data[((b*l.InCaps+i)*l.InDim)*h*w : ((b*l.InCaps+i)*l.InDim+l.InDim)*h*w]
-			src := gsub.Data[b*l.InDim*h*w : (b+1)*l.InDim*h*w]
-			copy(dst, src)
+			dst := (b*c.InCaps + i) * inSz
+			copy(gx.Data[dst:dst+inSz], gsub.Data[b*inSz:(b+1)*inSz])
 		}
-		l.scratch.Release(gsub, gw, gout) // all copied/accumulated above
+		l.s.Release(sub, gout, gsub, gw) // all copied/accumulated above
 	}
 	return gx
 }
@@ -200,83 +100,42 @@ func (l *ConvCaps3D) Backward(gy *tensor.Tensor) *tensor.Tensor {
 // Params implements Layer.
 func (l *ConvCaps3D) Params() []*Param { return []*Param{l.W} }
 
-// ClassCaps is the trainable fully-connected capsule layer with dynamic
-// routing.
+// ClassCaps trains a caps.ClassCaps, the fully-connected capsule layer
+// with dynamic routing.
 type ClassCaps struct {
-	LayerName         string
-	InCaps, InDim     int
-	OutCaps, OutDim   int
-	W                 *Param // [inCaps, outCaps, outDim, inDim]
-	RoutingIterations int
-
-	xShape []int
-	u      *tensor.Tensor
-	cache  routingCache
-}
-
-// NewClassCaps builds a trainable ClassCaps.
-func NewClassCaps(name string, inCaps, inDim, outCaps, outDim, iters int, seed uint64) *ClassCaps {
-	w := tensor.New(inCaps, outCaps, outDim, inDim).FillGlorot(tensor.NewRNG(seed), inDim, outDim)
-	return &ClassCaps{
-		LayerName: name,
-		InCaps:    inCaps, InDim: inDim, OutCaps: outCaps, OutDim: outDim,
-		W:                 newParam(name+"/W", w),
-		RoutingIterations: iters,
-	}
+	L *caps.ClassCaps
+	W *Param // [inCaps, outCaps, outDim, inDim]
+	tape
 }
 
 // Name implements Layer.
-func (l *ClassCaps) Name() string { return l.LayerName }
+func (l *ClassCaps) Name() string { return l.L.LayerName }
 
 // Forward implements Layer.
-func (l *ClassCaps) Forward(x *tensor.Tensor) *tensor.Tensor {
-	l.xShape = append([]int(nil), x.Shape...)
-	n := x.Shape[0]
-	l.u = FlattenToCaps(x, l.InCaps, l.InDim)
-	votes := tensor.New(n, l.InCaps, l.OutCaps, l.OutDim, 1)
-	for b := 0; b < n; b++ {
-		for i := 0; i < l.InCaps; i++ {
-			ui := l.u.Data[(b*l.InCaps+i)*l.InDim : (b*l.InCaps+i+1)*l.InDim]
-			for j := 0; j < l.OutCaps; j++ {
-				wij := l.W.W.Data[((i*l.OutCaps+j)*l.OutDim)*l.InDim:]
-				base := ((b*l.InCaps+i)*l.OutCaps + j) * l.OutDim
-				for d := 0; d < l.OutDim; d++ {
-					s := 0.0
-					row := wij[d*l.InDim : (d+1)*l.InDim]
-					for e, uv := range ui {
-						s += row[e] * uv
-					}
-					votes.Data[base+d] = s
-				}
-			}
-		}
-	}
-	v, cache := routeForward(votes, l.RoutingIterations)
-	l.cache = cache
-	return v.Reshape(n, l.OutCaps, l.OutDim)
-}
+func (l *ClassCaps) Forward(x *tensor.Tensor) *tensor.Tensor { return l.record(l.L, x) }
 
 // Backward implements Layer.
 func (l *ClassCaps) Backward(gy *tensor.Tensor) *tensor.Tensor {
-	n := l.xShape[0]
-	gv := gy.Reshape(n, l.OutCaps, l.OutDim, 1)
-	gvotes := routeBackward(l.cache, gv)
+	c := l.L
+	n := l.x.Shape[0]
+	gvotes := routeBackward(l.mac, l.k, gy.Reshape(n, c.OutCaps, c.OutDim, 1))
+	u := FlattenToCaps(l.x, c.InCaps, c.InDim)
 
-	gu := tensor.New(n, l.InCaps, l.InDim)
+	gu := tensor.New(n, c.InCaps, c.InDim)
 	for b := 0; b < n; b++ {
-		for i := 0; i < l.InCaps; i++ {
-			ui := l.u.Data[(b*l.InCaps+i)*l.InDim : (b*l.InCaps+i+1)*l.InDim]
-			gui := gu.Data[(b*l.InCaps+i)*l.InDim : (b*l.InCaps+i+1)*l.InDim]
-			for j := 0; j < l.OutCaps; j++ {
-				base := ((b*l.InCaps+i)*l.OutCaps + j) * l.OutDim
-				for d := 0; d < l.OutDim; d++ {
+		for i := 0; i < c.InCaps; i++ {
+			ui := u.Data[(b*c.InCaps+i)*c.InDim : (b*c.InCaps+i+1)*c.InDim]
+			gui := gu.Data[(b*c.InCaps+i)*c.InDim : (b*c.InCaps+i+1)*c.InDim]
+			for j := 0; j < c.OutCaps; j++ {
+				base := ((b*c.InCaps+i)*c.OutCaps + j) * c.OutDim
+				for d := 0; d < c.OutDim; d++ {
 					g := gvotes.Data[base+d]
 					if g == 0 {
 						continue
 					}
-					wRow := l.W.W.Data[((i*l.OutCaps+j)*l.OutDim+d)*l.InDim:]
-					gwRow := l.W.G.Data[((i*l.OutCaps+j)*l.OutDim+d)*l.InDim:]
-					for e := 0; e < l.InDim; e++ {
+					wRow := c.W.Data[((i*c.OutCaps+j)*c.OutDim+d)*c.InDim:]
+					gwRow := l.W.G.Data[((i*c.OutCaps+j)*c.OutDim+d)*c.InDim:]
+					for e := 0; e < c.InDim; e++ {
 						gwRow[e] += g * ui[e]
 						gui[e] += g * wRow[e]
 					}
@@ -284,39 +143,21 @@ func (l *ClassCaps) Backward(gy *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	return UnflattenFromCaps(gu, l.xShape, l.InDim)
+	return unflattenCaps(gu, l.x.Shape, c.InDim)
 }
 
 // Params implements Layer.
 func (l *ClassCaps) Params() []*Param { return []*Param{l.W} }
 
 // FlattenToCaps reinterprets an NCHW tensor as [n, inCaps, inDim] with the
-// same layout convention as the inference network (position-major per
-// capsule type). Rank-3 inputs pass through.
+// inference network's capsule layout (caps.FlattenCaps). Rank-3 inputs
+// pass through.
 func FlattenToCaps(x *tensor.Tensor, inCaps, inDim int) *tensor.Tensor {
-	if x.Rank() == 3 {
-		return x
-	}
-	n := x.Shape[0]
-	ctypes := x.Shape[1] / inDim
-	h, w := x.Shape[2], x.Shape[3]
-	out := tensor.New(n, inCaps, inDim)
-	idx := 0
-	for b := 0; b < n; b++ {
-		for c := 0; c < ctypes; c++ {
-			for p := 0; p < h*w; p++ {
-				for d := 0; d < inDim; d++ {
-					out.Data[idx] = x.Data[((b*ctypes*inDim)+(c*inDim+d))*h*w+p]
-					idx++
-				}
-			}
-		}
-	}
-	return out
+	return caps.FlattenCaps(x, inCaps, inDim)
 }
 
-// UnflattenFromCaps is the inverse scatter of FlattenToCaps for gradients.
-func UnflattenFromCaps(g *tensor.Tensor, xShape []int, inDim int) *tensor.Tensor {
+// unflattenCaps is the inverse scatter of FlattenToCaps for gradients.
+func unflattenCaps(g *tensor.Tensor, xShape []int, inDim int) *tensor.Tensor {
 	if len(xShape) == 3 {
 		return g
 	}

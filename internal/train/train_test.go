@@ -6,9 +6,50 @@ import (
 	"math"
 	"testing"
 
+	"redcane/internal/caps"
 	"redcane/internal/datasets"
 	"redcane/internal/tensor"
 )
+
+// The layer builders below wrap Glorot-initialized inference layers, the
+// way models.BuildTrainer wraps a whole network.
+
+func newConv2D(name string, inCh, outCh, k, stride, pad int, relu bool, seed uint64) *Conv2D {
+	return wrap(&caps.Conv2D{
+		LayerName: name,
+		W:         tensor.New(outCh, inCh, k, k).FillGlorot(tensor.NewRNG(seed), inCh*k*k, outCh*k*k),
+		B:         tensor.New(outCh),
+		Stride:    stride, Pad: pad, ReLU: relu,
+	}).(*Conv2D)
+}
+
+func newConvCaps2D(name string, inCh, nCaps, dim, k, stride, pad int, seed uint64) *ConvCaps2D {
+	return wrap(&caps.ConvCaps2D{
+		LayerName: name, Caps: nCaps, Dim: dim,
+		W:      tensor.New(nCaps*dim, inCh, k, k).FillGlorot(tensor.NewRNG(seed), inCh*k*k, nCaps*dim*k*k),
+		B:      tensor.New(nCaps * dim),
+		Stride: stride, Pad: pad,
+	}).(*ConvCaps2D)
+}
+
+func newConvCaps3D(name string, inCaps, inDim, outCaps, outDim, k, stride, pad, iters int, seed uint64) *ConvCaps3D {
+	return wrap(&caps.ConvCaps3D{
+		LayerName: name,
+		InCaps:    inCaps, InDim: inDim, OutCaps: outCaps, OutDim: outDim,
+		W: tensor.New(inCaps, outCaps*outDim, inDim, k, k).
+			FillGlorot(tensor.NewRNG(seed), inDim*k*k, outCaps*outDim*k*k),
+		Stride: stride, Pad: pad, RoutingIterations: iters,
+	}).(*ConvCaps3D)
+}
+
+func newClassCaps(name string, inCaps, inDim, outCaps, outDim, iters int, seed uint64) *ClassCaps {
+	return wrap(&caps.ClassCaps{
+		LayerName: name,
+		InCaps:    inCaps, InDim: inDim, OutCaps: outCaps, OutDim: outDim,
+		W:                 tensor.New(inCaps, outCaps, outDim, inDim).FillGlorot(tensor.NewRNG(seed), inDim, outDim),
+		RoutingIterations: iters,
+	}).(*ClassCaps)
+}
 
 // numericCheck verifies an analytic gradient against central differences
 // for a scalar objective sum(out · dir).
@@ -34,7 +75,7 @@ func numericCheck(t *testing.T, name string, forward func() *tensor.Tensor, targ
 }
 
 func TestConv2DLayerGradients(t *testing.T) {
-	l := NewConv2D("c", 2, 3, 3, 1, 1, true, 1)
+	l := newConv2D("c", 2, 3, 3, 1, 1, true, 1)
 	x := tensor.New(2, 2, 5, 5).FillNormal(tensor.NewRNG(2), 0, 1)
 	out := l.Forward(x)
 	dir := tensor.New(out.Shape...).FillNormal(tensor.NewRNG(3), 0, 1)
@@ -49,7 +90,7 @@ func TestConv2DLayerGradients(t *testing.T) {
 }
 
 func TestConvCaps2DLayerGradients(t *testing.T) {
-	l := NewConvCaps2D("cc", 2, 2, 4, 3, 2, 1, 4)
+	l := newConvCaps2D("cc", 2, 2, 4, 3, 2, 1, 4)
 	x := tensor.New(1, 2, 6, 6).FillNormal(tensor.NewRNG(5), 0, 1)
 	out := l.Forward(x)
 	dir := tensor.New(out.Shape...).FillNormal(tensor.NewRNG(6), 0, 1)
@@ -65,7 +106,7 @@ func TestConvCaps2DLayerGradients(t *testing.T) {
 func TestClassCapsGradientsStraightThrough(t *testing.T) {
 	// With a single routing iteration the coupling coefficients are
 	// constants (uniform), so the straight-through gradient is exact.
-	l := NewClassCaps("cls", 6, 4, 3, 4, 1, 7)
+	l := newClassCaps("cls", 6, 4, 3, 4, 1, 7)
 	x := tensor.New(2, 6, 4).FillNormal(tensor.NewRNG(8), 0, 1)
 	out := l.Forward(x)
 	dir := tensor.New(out.Shape...).FillNormal(tensor.NewRNG(9), 0, 1)
@@ -78,7 +119,7 @@ func TestClassCapsGradientsStraightThrough(t *testing.T) {
 }
 
 func TestConvCaps3DGradientsStraightThrough(t *testing.T) {
-	l := NewConvCaps3D("c3d", 2, 4, 2, 4, 3, 1, 1, 1, 10)
+	l := newConvCaps3D("c3d", 2, 4, 2, 4, 3, 1, 1, 1, 10)
 	x := tensor.New(1, 8, 4, 4).FillNormal(tensor.NewRNG(11), 0, 1)
 	out := l.Forward(x)
 	dir := tensor.New(out.Shape...).FillNormal(tensor.NewRNG(12), 0, 1)
@@ -160,7 +201,7 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 func TestFlattenUnflattenRoundTrip(t *testing.T) {
 	x := tensor.New(2, 8, 3, 3).FillNormal(tensor.NewRNG(14), 0, 1)
 	flat := FlattenToCaps(x, 2*3*3, 4)
-	back := UnflattenFromCaps(flat, x.Shape, 4)
+	back := unflattenCaps(flat, x.Shape, 4)
 	for i := range x.Data {
 		if math.Abs(back.Data[i]-x.Data[i]) > 1e-15 {
 			t.Fatal("flatten/unflatten not inverse")
@@ -193,10 +234,10 @@ func TestFitLearnsTinyProblem(t *testing.T) {
 	ds := datasets.MNISTLike(120, 60, 42)
 	// Reduce to 3 classes for speed.
 	ds = filterClasses(ds, 3)
-	m := &Model{ModelName: "tiny", Layers: []Layer{
-		NewConv2D("Conv2D", 1, 8, 9, 1, 0, true, 1),
-		NewConvCaps2D("Primary", 8, 4, 8, 9, 2, 0, 2),
-		NewClassCaps("ClassCaps", 4*2*2, 8, 3, 8, 3, 3),
+	m := &Model{Layers: []Layer{
+		newConv2D("Conv2D", 1, 8, 9, 1, 0, true, 1),
+		newConvCaps2D("Primary", 8, 4, 8, 9, 2, 0, 2),
+		newClassCaps("ClassCaps", 4*2*2, 8, 3, 8, 3, 3),
 	}}
 	res := Fit(m, ds, Config{Epochs: 12, BatchSize: 12, LR: 2e-3, Seed: 7, GradClip: 5})
 	if res.TestAccuracy < 0.7 {
@@ -234,9 +275,9 @@ func filterClasses(d *datasets.Dataset, k int) *datasets.Dataset {
 func TestFitCtxCancellation(t *testing.T) {
 	ds := datasets.MNISTLike(60, 20, 42)
 	ds = filterClasses(ds, 3)
-	m := &Model{ModelName: "tiny", Layers: []Layer{
-		NewConv2D("Conv2D", 1, 4, 9, 2, 0, true, 1),
-		NewClassCaps("ClassCaps", 4*6*6/4, 4, 3, 6, 3, 3),
+	m := &Model{Layers: []Layer{
+		newConv2D("Conv2D", 1, 4, 9, 2, 0, true, 1),
+		newClassCaps("ClassCaps", 4*6*6/4, 4, 3, 6, 3, 3),
 	}}
 
 	// A pre-cancelled context stops before the first batch.
