@@ -458,12 +458,9 @@ func (c *cli) run(w io.Writer, cmd string, args []string) error {
 		}
 		return c.runExperiments(w, args[0])
 	case "design", "refine":
-		b := experiments.DefaultBenchmark
-		if len(args) == 1 {
-			var err error
-			if b, err = experiments.FindBenchmark(args[0]); err != nil {
-				return err
-			}
+		b, err := benchmarkArg(cmd, args)
+		if err != nil {
+			return err
 		}
 		res, err := r.Design(b)
 		if err != nil {
@@ -499,43 +496,21 @@ func (c *cli) run(w io.Writer, cmd string, args []string) error {
 		}
 		return nil
 	case "validate":
-		b := experiments.DefaultBenchmark
-		if len(args) == 1 {
-			var err error
-			if b, err = experiments.FindBenchmark(args[0]); err != nil {
-				return err
-			}
-		}
-		backend := c.backend
-		if backend == "" {
-			backend = "quant-approx"
-		}
-		res, err := r.Validate(b, backend, c.bits)
+		b, err := benchmarkArg(cmd, args)
 		if err != nil {
 			return err
 		}
-		fmt.Fprint(w, res.Render())
-		if c.csvDir != "" {
-			return c.writeCSV("validate", res)
+		res, err := r.Validate(b, c.backend, c.bits)
+		if err != nil {
+			return err
 		}
-		return nil
+		return c.emit(w, "validate", res)
 	case "fault-sweep":
-		b := experiments.DefaultBenchmark
-		if len(args) == 1 {
-			var err error
-			if b, err = experiments.FindBenchmark(args[0]); err != nil {
-				return err
-			}
-		}
-		res, err := r.FaultSweep(b, c.fault, experiments.Overrides{})
+		b, err := benchmarkArg(cmd, args)
 		if err != nil {
 			return err
 		}
-		fmt.Fprint(w, res.Render())
-		if c.csvDir != "" {
-			return c.writeCSV("faults-"+b.Key(), res)
-		}
-		return nil
+		return c.runExperiments(w, "faults-"+b.Key())
 	case "characterize":
 		return characterize(w, args)
 	case "energy":
@@ -817,12 +792,30 @@ func resultEntry(id string, inAll bool, f func(c *cli) (renderer, error)) experi
 		if err != nil {
 			return err
 		}
-		fmt.Fprint(w, res.Render())
-		if c.csvDir != "" {
-			return c.writeCSV(id, res)
-		}
-		return nil
+		return c.emit(w, id, res)
 	}}
+}
+
+// emit prints a result and, with -csv, writes its CSV as <id>.csv.
+func (c *cli) emit(w io.Writer, id string, res renderer) error {
+	fmt.Fprint(w, res.Render())
+	if c.csvDir != "" {
+		return c.writeCSV(id, res)
+	}
+	return nil
+}
+
+// benchmarkArg resolves the optional [benchmark] argument of design,
+// refine, validate and fault-sweep (default capsnet-mnist-like).
+func benchmarkArg(cmd string, args []string) (experiments.Benchmark, error) {
+	switch len(args) {
+	case 0:
+		return experiments.DefaultBenchmark, nil
+	case 1:
+		return experiments.FindBenchmark(args[0])
+	default:
+		return experiments.Benchmark{}, fmt.Errorf("%s takes at most one benchmark, got %q", cmd, args)
+	}
 }
 
 // experimentTable is the single registry every experiment-facing path
@@ -872,11 +865,7 @@ func experimentTable() []experimentEntry {
 		// validate used to be reachable only as a command, so `experiment
 		// all` silently skipped the noise-model validation artifact.
 		resultEntry("validate", true, func(c *cli) (renderer, error) {
-			backend := c.backend
-			if backend == "" {
-				backend = "quant-approx"
-			}
-			return c.runner.Validate(experiments.DefaultBenchmark, backend, c.bits)
+			return c.runner.Validate(experiments.DefaultBenchmark, c.backend, c.bits)
 		}),
 	}
 	for _, b := range experiments.Benchmarks {

@@ -141,7 +141,7 @@ func (r *Runner) AblationNoiseVsLUT() (*NoiseVsLUTResult, error) {
 	// Characterize against this network's own operand distribution, as
 	// the methodology prescribes (Sec. III-B: NM is application
 	// dependent).
-	poolA, poolB := operandPools(t, x)
+	poolA, poolB, _ := operandPools(t, x, 20000)
 	dist := approx.EmpiricalDist(poolA, poolB)
 
 	convLayers := []string{"Conv2D", "Primary"}
@@ -252,12 +252,15 @@ func (a *NoiseAverageResult) Render() string {
 
 // operandPools captures the quantized conv-input activations and weights
 // of a trained network on the given inputs (the "real" operand
-// distribution of Sec. III-B).
-func operandPools(t *Trained, x *tensor.Tensor) (poolA, poolB []uint8) {
-	capAct := newCapture(noise.Activations, 20000)
+// distribution of Sec. III-B), sampling at most perLayerCap activations
+// per layer. perLayer holds each layer's activation codes; poolA is
+// their concatenation in layer-name order.
+func operandPools(t *Trained, x *tensor.Tensor, perLayerCap int) (poolA, poolB []uint8, perLayer map[string][]uint8) {
+	capAct := newCapture(noise.Activations, perLayerCap)
 	t.Net.Forward(x, capAct)
-	vals := make([]float64, 0, 20000)
-	for i := 0; i < x.Len() && len(vals) < 20000; i += 7 {
+	// The network input is also a conv input.
+	vals := make([]float64, 0, perLayerCap)
+	for i := 0; i < x.Len() && len(vals) < perLayerCap; i += 7 {
 		vals = append(vals, x.Data[i])
 	}
 	capAct.values["Input"] = vals
@@ -267,12 +270,16 @@ func operandPools(t *Trained, x *tensor.Tensor) (poolA, poolB []uint8) {
 		layers = append(layers, l)
 	}
 	sort.Strings(layers)
+	perLayer = map[string][]uint8{}
 	for _, l := range layers {
 		vs := capAct.values[l]
 		q := fixed.Calibrate(tensor.NewFrom(append([]float64(nil), vs...), len(vs)), 8)
-		for _, v := range vs {
-			poolA = append(poolA, uint8(q.Quantize(v)))
+		codes := make([]uint8, len(vs))
+		for i, v := range vs {
+			codes[i] = uint8(q.Quantize(v))
 		}
+		perLayer[l] = codes
+		poolA = append(poolA, codes...)
 	}
 
 	names := make([]string, 0)
@@ -290,7 +297,7 @@ func operandPools(t *Trained, x *tensor.Tensor) (poolA, poolB []uint8) {
 			poolB = append(poolB, uint8(q.Quantize(w.Data[i])))
 		}
 	}
-	return poolA, poolB
+	return poolA, poolB, perLayer
 }
 
 // capEval slices the first n test samples of a trained benchmark.

@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"redcane/internal/approx"
-	"redcane/internal/fixed"
 	"redcane/internal/noise"
 	"redcane/internal/tensor"
 )
@@ -108,62 +106,20 @@ func (r *Runner) Fig11() (*Fig11Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	capAct := newCapture(noise.Activations, 40000)
-	n := r.evalCap()
-	sample := t.Data.TestX.Len() / t.Data.TestX.Shape[0]
-	if n > t.Data.TestX.Shape[0] {
-		n = t.Data.TestX.Shape[0]
-	}
-	x := tensor.NewFrom(t.Data.TestX.Data[:n*sample], append([]int{n}, t.Data.TestX.Shape[1:]...)...)
-	t.Net.Forward(x, capAct)
-
-	// The network input is also a conv input.
-	imgVals := make([]float64, 0, 40000)
-	for i := 0; i < x.Len() && len(imgVals) < 40000; i += 7 {
-		imgVals = append(imgVals, x.Data[i])
-	}
-	capAct.values["Input"] = imgVals
-
-	overall := tensor.NewHistogram(0, 256, 64)
-	perLayer := map[string]*tensor.Histogram{}
-	var poolA []uint8
-	layerNames := make([]string, 0, len(capAct.values))
-	for layer := range capAct.values {
-		layerNames = append(layerNames, layer)
-	}
-	sort.Strings(layerNames)
-	for _, layer := range layerNames {
-		vs := capAct.values[layer]
-		tv := tensor.NewFrom(append([]float64(nil), vs...), len(vs))
-		q := fixed.Calibrate(tv, 8)
+	x, _ := capEval(t, r.evalCap())
+	poolA, poolB, codes := operandPools(t, x, 40000)
+	hist := func(cs []uint8) *tensor.Histogram {
 		h := tensor.NewHistogram(0, 256, 64)
-		for _, v := range vs {
-			code := q.Quantize(v)
-			h.Observe(float64(code))
-			overall.Observe(float64(code))
-			poolA = append(poolA, uint8(code))
+		for _, c := range cs {
+			h.Observe(float64(c))
 		}
-		perLayer[layer] = h
+		return h
 	}
-
-	// Weight pool from every conv kernel in the network.
-	var poolB []uint8
-	pnames := make([]string, 0)
-	allParams := t.Net.Params()
-	for name := range allParams {
-		if strings.HasSuffix(name, "/W") {
-			pnames = append(pnames, name)
-		}
+	perLayer := map[string]*tensor.Histogram{}
+	for layer, cs := range codes {
+		perLayer[layer] = hist(cs)
 	}
-	sort.Strings(pnames)
-	for _, name := range pnames {
-		w := allParams[name]
-		q := fixed.Calibrate(w, 8)
-		for i := 0; i < w.Len(); i += 3 {
-			poolB = append(poolB, uint8(q.Quantize(w.Data[i])))
-		}
-	}
-	res := &Fig11Result{Overall: overall, PerLayer: perLayer, PoolA: poolA, PoolB: poolB}
+	res := &Fig11Result{Overall: hist(poolA), PerLayer: perLayer, PoolA: poolA, PoolB: poolB}
 	r.fig11Memo = res
 	return res, nil
 }

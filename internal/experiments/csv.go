@@ -11,44 +11,32 @@ import (
 // the paper's axis labels.
 
 // WriteCSV emits the group-wise sweep as
-// (benchmark, group, nm, accuracy, drop).
+// (arch, dataset, group, nm, accuracy, drop).
 func (g *GroupSweepResult) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"arch", "dataset", "group", "nm", "accuracy", "drop"}); err != nil {
-		return err
-	}
-	for _, gr := range g.Groups {
-		for _, p := range gr.Points {
-			rec := []string{
-				g.Benchmark.Arch, g.Benchmark.Dataset, gr.Group.String(),
-				fmt.Sprintf("%g", p.NM),
-				fmt.Sprintf("%g", p.Accuracy),
-				fmt.Sprintf("%g", p.Drop),
-			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return g.writeCSV(w, []string{"arch", "dataset", "group", "nm", "accuracy", "drop"})
 }
 
 // WriteCSV emits the fault campaign as
 // (arch, dataset, kind, group, severity, accuracy, drop).
 func (f *FaultSweepResult) WriteCSV(w io.Writer) error {
+	return f.writeCSV(w, []string{"arch", "dataset", "kind", "group", "severity", "accuracy", "drop"},
+		f.Spec.String())
+}
+
+// writeCSV emits one row per (group, grid point): arch and dataset, the
+// extra columns, then group, grid value, accuracy and drop.
+func (g *GroupSweepResult) writeCSV(w io.Writer, header []string, extra ...string) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"arch", "dataset", "kind", "group", "severity", "accuracy", "drop"}); err != nil {
+	if err := cw.Write(header); err != nil {
 		return err
 	}
-	for _, gr := range f.Groups {
+	for _, gr := range g.Groups {
 		for _, p := range gr.Points {
-			rec := []string{
-				f.Benchmark.Arch, f.Benchmark.Dataset, f.Spec.String(), gr.Group.String(),
+			rec := append([]string{g.Benchmark.Arch, g.Benchmark.Dataset}, extra...)
+			rec = append(rec, gr.Group.String(),
 				fmt.Sprintf("%g", p.NM),
 				fmt.Sprintf("%g", p.Accuracy),
-				fmt.Sprintf("%g", p.Drop),
-			}
+				fmt.Sprintf("%g", p.Drop))
 			if err := cw.Write(rec); err != nil {
 				return err
 			}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"math"
 	"os"
 	"strings"
@@ -409,6 +411,25 @@ func TestValidateComparesModelAgainstBackend(t *testing.T) {
 	// Approximate multipliers cannot run above the LUT wordlength.
 	if _, err := runner(t).Validate(Benchmarks[4], "quant-approx", 12); err == nil {
 		t.Fatal("expected wide-wordlength error")
+	}
+}
+
+func TestValidateRejectsWordlengthBeforeTraining(t *testing.T) {
+	// The runner's context is already cancelled, so any training or
+	// analysis would fail with context.Canceled: getting the wordlength
+	// error instead proves the check runs first.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r := NewRunner(Config{Dir: t.TempDir(), Quick: true, Seed: 42, Ctx: ctx})
+	_, err := r.Validate(DefaultBenchmark, "quant-exact", 17)
+	if err == nil || errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "bits = 17") {
+		t.Fatalf("Validate(bits=17) = %v, want the wordlength error", err)
+	}
+	if err := CheckBackend("quant-exact", 0); err != nil {
+		t.Fatalf("bits 0 selects the default 8: %v", err)
+	}
+	if err := CheckBackend("float", 16); err != nil {
+		t.Fatalf("bits 16 is in range: %v", err)
 	}
 }
 

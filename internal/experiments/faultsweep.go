@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"redcane/internal/core"
 	"redcane/internal/noise"
@@ -13,15 +12,15 @@ import (
 // analysis of the methodology driven by a fault injector (bit flips,
 // stuck-at cells) instead of the paper's Gaussian noise model. The sweep
 // grid's severity axis is reinterpreted per kind — flip probability or
-// stuck fraction — and everything else (counter seeding, prefix caching,
-// checkpoint resume, fleet distribution) is the shared engine.
+// stuck fraction — and everything else (the sweep body, counter seeding,
+// prefix caching, checkpoint resume, fleet distribution, rendering) is
+// the group sweep's.
 
-// FaultSweepResult holds one benchmark's group-wise fault campaign.
+// FaultSweepResult holds one benchmark's group-wise fault campaign: the
+// group sweep's result under the injector Spec.
 type FaultSweepResult struct {
-	Benchmark Benchmark
-	Spec      noise.Spec
-	Clean     float64
-	Groups    []core.GroupResult
+	GroupSweepResult
+	Spec noise.Spec
 }
 
 // FaultSweep runs the group-wise resilience analysis under the given
@@ -33,87 +32,25 @@ func (r *Runner) FaultSweep(b Benchmark, spec noise.Spec, ov Overrides) (*FaultS
 	if err != nil {
 		return nil, err
 	}
-	t, err := r.Trained(b)
+	g, _, err := r.sweep(b, 26, ov, func(o *core.Options) {
+		o.NMSweep, o.Noise = core.DefaultFaultSweep, spec
+	}, false)
 	if err != nil {
 		return nil, err
 	}
-	opts := ov.apply(r.nonlinearize(core.Options{
-		NMSweep:   core.DefaultFaultSweep,
-		Noise:     spec,
-		Trials:    r.trials(),
-		Batch:     32,
-		Threshold: r.threshold(),
-		Seed:      r.Cfg.Seed + 26,
-		MaxEval:   r.evalCap(),
-		Workers:   r.Cfg.Workers,
-	})).WithDefaults()
-	a := &core.Analyzer{
-		Net: t.Net, Data: t.Data, Obs: r.obs(), Opts: opts,
-		Checkpoint: r.analysisCheckpoint(b, opts),
-		Probes:     r.Cfg.Probes,
-		Fleet:      r.Cfg.Fleet,
-	}
-	ctx := r.ctx()
-	clean, err := a.CleanAccuracyCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	groups, err := a.AnalyzeGroups(ctx, clean)
-	if err != nil {
-		return nil, err
-	}
-	return &FaultSweepResult{
-		Benchmark: b,
-		Spec:      spec,
-		Clean:     clean,
-		Groups:    groups,
-	}, nil
+	return &FaultSweepResult{GroupSweepResult: *g, Spec: spec}, nil
 }
 
 // Render formats the fault campaign's accuracy-drop curves, labeling the
 // severity axis by the injector kind.
 func (f *FaultSweepResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "fault campaign [%s] — %s on %s (clean %.2f%%)\n",
+	title := fmt.Sprintf("fault campaign [%s] — %s on %s (clean %.2f%%)\n",
 		f.Spec, f.Benchmark.Arch, f.Benchmark.Dataset, 100*f.Clean)
-	fmt.Fprintf(&b, "%-14s", f.Spec.SeverityLabel())
-	for _, p := range f.Groups[0].Points {
-		fmt.Fprintf(&b, "%8.3g", p.NM)
-	}
-	b.WriteString("\n")
-	for _, gr := range f.Groups {
-		fmt.Fprintf(&b, "%-14s", gr.Group)
-		for _, p := range gr.Points {
-			fmt.Fprintf(&b, "%+8.1f", 100*p.Drop)
-		}
-		status := ""
-		if gr.Resilient {
-			status = "  [RESILIENT]"
-		}
-		fmt.Fprintf(&b, "  (accuracy drop %%)%s\n", status)
-	}
-	b.WriteString("\n")
-	b.WriteString(f.Chart().Render())
-	return b.String()
+	return f.render(title, f.Spec.SeverityLabel(), f.Chart())
 }
 
 // Chart builds the accuracy-drop line chart of the campaign.
 func (f *FaultSweepResult) Chart() *plot.Chart {
-	c := &plot.Chart{
-		Title:  fmt.Sprintf("accuracy drop [%%] vs %s (%s)", f.Spec.SeverityLabel(), f.Spec),
-		XLabel: f.Spec.SeverityLabel() + " (descending)",
-		Height: 12,
-	}
-	for _, p := range f.Groups[0].Points {
-		c.XTicks = append(c.XTicks, fmt.Sprintf("%.3g", p.NM))
-	}
-	c.Width = 6 * len(c.XTicks)
-	for _, gr := range f.Groups {
-		s := plot.Series{Name: gr.Group.String()}
-		for _, p := range gr.Points {
-			s.Values = append(s.Values, 100*p.Drop)
-		}
-		c.Series = append(c.Series, s)
-	}
-	return c
+	label := f.Spec.SeverityLabel()
+	return f.chart(fmt.Sprintf("accuracy drop [%%] vs %s (%s)", label, f.Spec), label)
 }

@@ -65,7 +65,7 @@ func (r *Runner) Table3() (*Table3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &core.Analyzer{Net: t.Net, Data: t.Data, Obs: r.obs(), Opts: core.Options{MaxEval: 1}}
+	a := &core.Analyzer{Net: t.Net, Data: t.Data, Obs: r.obs()}
 	byGroup := a.ExtractGroups()
 	var out Table3Result
 	for _, g := range noise.Groups() {
@@ -105,13 +105,32 @@ type Overrides struct {
 	NA float64
 }
 
-// apply folds the overrides into opts.
-func (ov Overrides) apply(opts core.Options) core.Options {
-	if ov.NMSweep != nil {
-		opts.NMSweep = ov.NMSweep
+// sweep is the body the group-wise entry points share: clean accuracy,
+// the group sweep (Steps 2–3) and, with layers set, the layer sweep of
+// the non-resilient groups (Steps 4–5).
+func (r *Runner) sweep(b Benchmark, seedOffset uint64, ov Overrides, adjust func(*core.Options), layers bool) (*GroupSweepResult, []core.LayerResult, error) {
+	a, err := r.analyzer(b, seedOffset, ov, adjust)
+	if err != nil {
+		return nil, nil, err
 	}
-	opts.NA = ov.NA
-	return opts
+	ctx := r.ctx()
+	clean, err := a.CleanAccuracyCtx(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	groups, err := a.AnalyzeGroups(ctx, clean)
+	if err != nil {
+		return nil, nil, err
+	}
+	res := &GroupSweepResult{Benchmark: b, Clean: clean, Groups: groups}
+	if !layers {
+		return res, nil, nil
+	}
+	ls, err := a.AnalyzeLayers(ctx, groups, clean)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, ls, nil
 }
 
 // GroupSweep runs methodology Steps 1–3 (the group-wise resilience
@@ -120,39 +139,8 @@ func (ov Overrides) apply(opts core.Options) core.Options {
 // returns the structured result (Render/WriteCSV produce the CLI's
 // artifacts) instead of printing.
 func (r *Runner) GroupSweep(b Benchmark, ov Overrides) (*GroupSweepResult, error) {
-	t, err := r.Trained(b)
-	if err != nil {
-		return nil, err
-	}
-	opts := ov.apply(r.nonlinearize(core.Options{
-		NMSweep:   core.PaperNMSweep,
-		Trials:    r.trials(),
-		Batch:     32,
-		Threshold: r.threshold(),
-		Seed:      r.Cfg.Seed + 21,
-		MaxEval:   r.evalCap(),
-		Workers:   r.Cfg.Workers,
-	})).WithDefaults()
-	a := &core.Analyzer{
-		Net: t.Net, Data: t.Data, Obs: r.obs(), Opts: opts,
-		Checkpoint: r.analysisCheckpoint(b, opts),
-		Probes:     r.Cfg.Probes,
-		Fleet:      r.Cfg.Fleet,
-	}
-	ctx := r.ctx()
-	clean, err := a.CleanAccuracyCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	groups, err := a.AnalyzeGroups(ctx, clean)
-	if err != nil {
-		return nil, err
-	}
-	return &GroupSweepResult{
-		Benchmark: b,
-		Clean:     clean,
-		Groups:    groups,
-	}, nil
+	res, _, err := r.sweep(b, 21, ov, nil, false)
+	return res, err
 }
 
 // Fig9 is the group-wise resilience of DeepCaps on the CIFAR-like
@@ -177,10 +165,17 @@ func (r *Runner) Fig12() ([]*GroupSweepResult, error) {
 // Render formats the accuracy-drop curves as a table plus an ASCII chart
 // (the text analogue of the paper's Fig. 9/12 panels).
 func (g *GroupSweepResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "group-wise resilience — %s on %s (clean %.2f%%)\n",
+	title := fmt.Sprintf("group-wise resilience — %s on %s (clean %.2f%%)\n",
 		g.Benchmark.Arch, g.Benchmark.Dataset, 100*g.Clean)
-	fmt.Fprintf(&b, "%-14s", "NM")
+	return g.render(title, "NM", g.Chart())
+}
+
+// render formats the sweep under a title and the grid axis label: one
+// row of drops per group, then the chart.
+func (g *GroupSweepResult) render(title, axis string, chart *plot.Chart) string {
+	var b strings.Builder
+	b.WriteString(title)
+	fmt.Fprintf(&b, "%-14s", axis)
 	for _, p := range g.Groups[0].Points {
 		fmt.Fprintf(&b, "%8.3g", p.NM)
 	}
@@ -197,17 +192,19 @@ func (g *GroupSweepResult) Render() string {
 		fmt.Fprintf(&b, "  (accuracy drop %%)%s\n", status)
 	}
 	b.WriteString("\n")
-	b.WriteString(g.Chart().Render())
+	b.WriteString(chart.Render())
 	return b.String()
 }
 
 // Chart builds the accuracy-drop line chart of the sweep.
 func (g *GroupSweepResult) Chart() *plot.Chart {
-	c := &plot.Chart{
-		Title:  "accuracy drop [%] vs noise magnitude",
-		XLabel: "NM (descending)",
-		Height: 12,
-	}
+	return g.chart("accuracy drop [%] vs noise magnitude", "NM")
+}
+
+// chart builds the accuracy-drop line chart, one series per group, over
+// the grid axis named xAxis.
+func (g *GroupSweepResult) chart(title, xAxis string) *plot.Chart {
+	c := &plot.Chart{Title: title, XLabel: xAxis + " (descending)", Height: 12}
 	for _, p := range g.Groups[0].Points {
 		c.XTicks = append(c.XTicks, fmt.Sprintf("%.3g", p.NM))
 	}
@@ -239,39 +236,11 @@ func (r *Runner) Fig10() (*Fig10Result, error) {
 // resilience analysis of the non-resilient groups, Fig. 10) on one
 // benchmark — the job-shaped generalization of Fig10.
 func (r *Runner) LayerSweep(b Benchmark, ov Overrides) (*Fig10Result, error) {
-	t, err := r.Trained(b)
+	g, layers, err := r.sweep(b, 22, ov, nil, true)
 	if err != nil {
 		return nil, err
 	}
-	opts := ov.apply(r.nonlinearize(core.Options{
-		NMSweep:   core.PaperNMSweep,
-		Trials:    r.trials(),
-		Batch:     32,
-		Threshold: r.threshold(),
-		Seed:      r.Cfg.Seed + 22,
-		MaxEval:   r.evalCap(),
-		Workers:   r.Cfg.Workers,
-	})).WithDefaults()
-	a := &core.Analyzer{
-		Net: t.Net, Data: t.Data, Obs: r.obs(), Opts: opts,
-		Checkpoint: r.analysisCheckpoint(b, opts),
-		Probes:     r.Cfg.Probes,
-		Fleet:      r.Cfg.Fleet,
-	}
-	ctx := r.ctx()
-	clean, err := a.CleanAccuracyCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	groups, err := a.AnalyzeGroups(ctx, clean)
-	if err != nil {
-		return nil, err
-	}
-	layers, err := a.AnalyzeLayers(ctx, groups, clean)
-	if err != nil {
-		return nil, err
-	}
-	return &Fig10Result{Benchmark: b, Clean: clean, Layers: layers}, nil
+	return &Fig10Result{Benchmark: b, Clean: g.Clean, Layers: layers}, nil
 }
 
 // Render formats the per-layer tolerated noise magnitudes.
@@ -301,7 +270,7 @@ type DesignResult struct {
 // Design runs the complete ReD-CaNe methodology on one benchmark using
 // the real conv-input distribution for component characterization.
 func (r *Runner) Design(b Benchmark) (*DesignResult, error) {
-	t, err := r.Trained(b)
+	a, err := r.analyzer(b, 23, Overrides{}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -318,20 +287,6 @@ func (r *Runner) Design(b Benchmark) (*DesignResult, error) {
 	// length closest to its layer's real MAC fan-in (Fig. 6).
 	profiles := core.ProfileLibraryDepths(
 		approx.EmpiricalDist(fig11.PoolA, fig11.PoolB), core.LibraryChainLens, samples, r.Cfg.Seed+9)
-	opts := r.nonlinearize(core.Options{
-		Trials:    r.trials(),
-		Batch:     32,
-		Threshold: r.threshold(),
-		Seed:      r.Cfg.Seed + 23,
-		MaxEval:   r.evalCap(),
-		Workers:   r.Cfg.Workers,
-	}).WithDefaults()
-	a := &core.Analyzer{
-		Net: t.Net, Data: t.Data, Obs: r.obs(), Opts: opts,
-		Checkpoint: r.analysisCheckpoint(b, opts),
-		Probes:     r.Cfg.Probes,
-		Fleet:      r.Cfg.Fleet,
-	}
 	report, err := a.RunMethodology(r.ctx(), profiles)
 	if err != nil {
 		return nil, err
@@ -346,20 +301,9 @@ func (d *DesignResult) Render() string { return core.FormatReport(d.Report) }
 // an existing design: while the composed approximate CapsNet exceeds the
 // tolerable accuracy drop, the noisiest component assignment is upgraded.
 func (r *Runner) RefineDesign(b Benchmark, d *DesignResult) (core.RefineResult, error) {
-	t, err := r.Trained(b)
+	a, err := r.analyzer(b, 24, Overrides{}, nil)
 	if err != nil {
 		return core.RefineResult{}, err
-	}
-	a := &core.Analyzer{
-		Net: t.Net, Data: t.Data, Obs: r.obs(),
-		Opts: r.nonlinearize(core.Options{
-			Trials:    r.trials(),
-			Batch:     32,
-			Threshold: r.threshold(),
-			Seed:      r.Cfg.Seed + 24,
-			MaxEval:   r.evalCap(),
-			Workers:   r.Cfg.Workers,
-		}),
 	}
 	return a.Refine(r.ctx(), d.Report.Choices, d.profiles, d.Report.CleanAccuracy, r.threshold(), 50)
 }

@@ -249,14 +249,52 @@ func (r *Runner) threshold() float64 {
 	return 0.01
 }
 
-// nonlinearize folds the configured softmax/squash variants into an
-// analysis option set. Every analyzer the runner builds goes through
-// here, so one Config selection applies uniformly across sweeps, designs
-// and validations.
-func (r *Runner) nonlinearize(opts core.Options) core.Options {
-	opts.Softmax = r.Cfg.Softmax
-	opts.Squash = r.Cfg.Squash
-	return opts
+// analyzer builds the Analyzer of one analysis entry point on the trained
+// benchmark. Every sweep, design, refinement, validation and stability
+// run is set up here, so one Config selection (workers, softmax/squash
+// variants, checkpointing, probes, fleet) applies to all of them alike.
+//
+// The options are the runner's — r.trials() trials, batch 32,
+// r.threshold(), r.evalCap() samples, the seed plus the entry point's
+// seedOffset, Cfg.Workers, Cfg.Softmax/Squash — then adjust, when
+// non-nil, changes the few that differ per entry point (the fault
+// sweep's grid and noise spec, Validate's eval cap, Stability's single
+// trial), and ov replaces the grid and sets the noise average. The
+// result is normalized by WithDefaults before it keys the checkpoint.
+//
+// Checkpoint, Probes and Fleet are set on every analyzer, and are inert
+// where an entry point never consults them: Refine reads none of the
+// three, and Validate's CleanAccuracyCtx/EvalBackend never consult Fleet
+// (only the named group/layer sweeps are distributed).
+func (r *Runner) analyzer(b Benchmark, seedOffset uint64, ov Overrides, adjust func(*core.Options)) (*core.Analyzer, error) {
+	t, err := r.Trained(b)
+	if err != nil {
+		return nil, err
+	}
+	opts := core.Options{
+		Trials:    r.trials(),
+		Batch:     32,
+		Threshold: r.threshold(),
+		Seed:      r.Cfg.Seed + seedOffset,
+		MaxEval:   r.evalCap(),
+		Workers:   r.Cfg.Workers,
+		Softmax:   r.Cfg.Softmax,
+		Squash:    r.Cfg.Squash,
+	}
+	if adjust != nil {
+		adjust(&opts)
+	}
+	if ov.NMSweep != nil {
+		opts.NMSweep = ov.NMSweep
+	}
+	opts.NA = ov.NA
+	opts = opts.WithDefaults()
+	return &core.Analyzer{
+		Net: t.Net, Data: t.Data, Obs: r.obs(), Opts: opts,
+		Checkpoint: r.analysisCheckpoint(b, opts),
+		Probes:     r.Cfg.Probes,
+		Fleet:      r.Cfg.Fleet,
+	}, nil
 }
 
 // trials is the number of noise seeds averaged per sweep point.

@@ -28,38 +28,20 @@ type StabilityResult struct {
 	OrderingHolds int
 }
 
-// Stability re-runs the group-wise analysis under n independent seeds.
+// Stability re-runs the group-wise analysis under n independent seeds,
+// one trial each.
 func (r *Runner) Stability(b Benchmark, n int) (*StabilityResult, error) {
-	t, err := r.Trained(b)
-	if err != nil {
-		return nil, err
-	}
 	sums := map[noise.Group][]float64{}
 	holds := 0
 	for s := 0; s < n; s++ {
-		a := &core.Analyzer{
-			Net: t.Net, Data: t.Data, Obs: r.obs(),
-			Opts: core.Options{
-				Trials:    1,
-				Batch:     32,
-				Threshold: r.threshold(),
-				Seed:      r.Cfg.Seed + 1000*uint64(s+1),
-				MaxEval:   r.evalCap(),
-				Workers:   r.Cfg.Workers,
-			}.WithDefaults(),
-		}
-		clean, err := a.CleanAccuracyCtx(r.ctx())
-		if err != nil {
-			return nil, err
-		}
-		groups, err := a.AnalyzeGroups(r.ctx(), clean)
+		g, _, err := r.sweep(b, 1000*uint64(s+1), Overrides{}, func(o *core.Options) { o.Trials = 1 }, false)
 		if err != nil {
 			return nil, err
 		}
 		tol := map[noise.Group]float64{}
-		for _, g := range groups {
-			tol[g.Group] = g.ToleratedNM
-			sums[g.Group] = append(sums[g.Group], g.ToleratedNM)
+		for _, gr := range g.Groups {
+			tol[gr.Group] = gr.ToleratedNM
+			sums[gr.Group] = append(sums[gr.Group], gr.ToleratedNM)
 		}
 		routing := math.Min(tol[noise.Softmax], tol[noise.LogitsUpdate])
 		conv := math.Max(tol[noise.MACOutputs], tol[noise.Activations])

@@ -68,13 +68,25 @@ type ValidateResult struct {
 	Rows          []ValidateRow
 }
 
-// ValidBackends lists the -backend flag values accepted by Validate.
-var ValidBackends = []string{"float", "quant-exact", "quant-approx"}
+// validBackends lists the -backend flag values accepted by Validate.
+var validBackends = []string{"float", "quant-exact", "quant-approx"}
+
+// CheckBackend reports whether Validate accepts the backend name and
+// operand wordlength (1..16; 0 selects the default 8). Validate runs the
+// same check before any training or analysis, so a bad selection fails
+// at once; the analysis service runs it at job submission.
+func CheckBackend(name string, bits uint) error {
+	_, err := backendFor(name, bits)
+	return err
+}
 
 // backendFor resolves a backend name into a constructor over a design
-// subset. The name is validated eagerly so a typo fails before any
-// training or analysis runs.
+// subset at the given wordlength, validating name and wordlength
+// eagerly.
 func backendFor(name string, bits uint) (func(choices []core.Choice) (caps.Backend, error), error) {
+	if bits > 16 {
+		return nil, fmt.Errorf("experiments: bits = %d out of range (1..16)", bits)
+	}
 	switch name {
 	case "float":
 		return func([]core.Choice) (caps.Backend, error) { return caps.Float{}, nil }, nil
@@ -86,7 +98,7 @@ func backendFor(name string, bits uint) (func(choices []core.Choice) (caps.Backe
 		}, nil
 	default:
 		return nil, fmt.Errorf("experiments: unknown backend %q (valid: %s)",
-			name, strings.Join(ValidBackends, ", "))
+			name, strings.Join(validBackends, ", "))
 	}
 }
 
@@ -103,9 +115,13 @@ func choicesKey(choices []core.Choice) string {
 // Validate runs the model-validation experiment: the benchmark's selected
 // design is re-evaluated bit-accurately on the named backend and compared
 // with the noise model's prediction per design, group, and MAC layer.
+// An empty backend name selects quant-approx and zero bits select 8.
 // The measurement runs on the shared engine, so it is cancellable,
 // worker-parallel, checkpoint-resumable and telemetered like every sweep.
 func (r *Runner) Validate(b Benchmark, backendName string, bits uint) (*ValidateResult, error) {
+	if backendName == "" {
+		backendName = "quant-approx"
+	}
 	if bits == 0 {
 		bits = 8
 	}
@@ -125,18 +141,11 @@ func (r *Runner) Validate(b Benchmark, backendName string, bits uint) (*Validate
 	// Bit-accurate execution is the scalar quantized path — far slower
 	// than the float engine — so the evaluation split is capped tighter
 	// than the sweeps'.
-	maxEval := r.evalCap()
-	if maxEval > 100 {
-		maxEval = 100
+	a, err := r.analyzer(b, 25, Overrides{}, func(o *core.Options) { o.MaxEval = min(o.MaxEval, 100) })
+	if err != nil {
+		return nil, err
 	}
-	opts := r.nonlinearize(core.Options{
-		Trials:    r.trials(),
-		Batch:     32,
-		Threshold: r.threshold(),
-		Seed:      r.Cfg.Seed + 25,
-		MaxEval:   maxEval,
-		Workers:   r.Cfg.Workers,
-	}).WithDefaults()
+	opts := a.Opts
 	// The prediction passes run under the same softmax/squash variants as
 	// the analyzer's measurements, so an approximate-nonlinearity
 	// validation compares like with like.
@@ -145,11 +154,6 @@ func (r *Runner) Validate(b Benchmark, backendName string, bits uint) (*Validate
 		return nil, err
 	}
 	predBe := caps.WithNonlinearity(caps.Float{}, nl)
-	a := &core.Analyzer{
-		Net: t.Net, Data: t.Data, Obs: r.obs(), Opts: opts,
-		Checkpoint: r.analysisCheckpoint(b, opts),
-		Probes:     r.Cfg.Probes,
-	}
 	ctx := r.ctx()
 	sp := r.obs().StartSpan("experiment.validate",
 		obs.F("benchmark", b.Key()), obs.F("backend", backendName), obs.F("bits", bits))
@@ -174,7 +178,7 @@ func (r *Runner) Validate(b Benchmark, backendName string, bits uint) (*Validate
 	}
 	out.QuantBaseline = baseline
 
-	x, y := capEval(t, maxEval)
+	x, y := capEval(t, opts.MaxEval)
 	choices := d.Report.Choices
 	row := func(scope, name string, subset []core.Choice) error {
 		macSites := 0

@@ -140,25 +140,15 @@ func (spec *JobSpec) normalize() error {
 		}
 	}
 	if spec.Kind == KindValidate {
+		// Fill Validate's defaults so the persisted spec is canonical.
 		if spec.Backend == "" {
 			spec.Backend = "quant-approx"
-		}
-		valid := false
-		for _, be := range experiments.ValidBackends {
-			if spec.Backend == be {
-				valid = true
-				break
-			}
-		}
-		if !valid {
-			return fmt.Errorf("unknown backend %q (valid: %s)",
-				spec.Backend, strings.Join(experiments.ValidBackends, ", "))
 		}
 		if spec.Bits == 0 {
 			spec.Bits = 8
 		}
-		if spec.Bits > 16 {
-			return fmt.Errorf("bits = %d out of range (1..16)", spec.Bits)
+		if err := experiments.CheckBackend(spec.Backend, spec.Bits); err != nil {
+			return err
 		}
 	} else if spec.Backend != "" || spec.Bits != 0 {
 		return fmt.Errorf("backend/bits apply only to validate jobs")
@@ -238,7 +228,8 @@ func (a Artifacts) files() map[string][]byte {
 type renderer interface{ Render() string }
 type csvWriter interface{ WriteCSV(io.Writer) error }
 
-// artifactsFor assembles the artifacts of one rendered result.
+// artifactsFor assembles the artifacts of one rendered result: its text,
+// its CSV when it has one, and the report JSON of a methodology run.
 func artifactsFor(res renderer) (Artifacts, error) {
 	out := Artifacts{Text: res.Render()}
 	if cw, ok := res.(csvWriter); ok {
@@ -247,6 +238,13 @@ func artifactsFor(res renderer) (Artifacts, error) {
 			return Artifacts{}, err
 		}
 		out.CSV = buf.Bytes()
+	}
+	if d, ok := res.(*experiments.DesignResult); ok {
+		var buf bytes.Buffer
+		if err := d.Report.WriteJSON(&buf); err != nil {
+			return Artifacts{}, err
+		}
+		out.JSON = buf.Bytes()
 	}
 	return out, nil
 }
@@ -290,52 +288,27 @@ func (s *Server) runSpec(ctx context.Context, spec JobSpec, jobDir string, o *ob
 		Squash:        spec.Squash,
 	})
 	ov := experiments.Overrides{NMSweep: spec.NMSweep, NA: spec.NA}
-	var art Artifacts
+	var res renderer
 	switch spec.Kind {
 	case KindGroupSweep:
-		res, err := r.GroupSweep(b, ov)
-		if err != nil {
-			return Artifacts{}, err
-		}
-		if art, err = artifactsFor(res); err != nil {
-			return Artifacts{}, err
-		}
+		res, err = r.GroupSweep(b, ov)
 	case KindLayerSweep:
-		res, err := r.LayerSweep(b, ov)
-		if err != nil {
-			return Artifacts{}, err
-		}
-		if art, err = artifactsFor(res); err != nil {
-			return Artifacts{}, err
-		}
+		res, err = r.LayerSweep(b, ov)
 	case KindMethodology:
-		d, err := r.Design(b)
-		if err != nil {
-			return Artifacts{}, err
-		}
-		var buf bytes.Buffer
-		if err := d.Report.WriteJSON(&buf); err != nil {
-			return Artifacts{}, err
-		}
-		art = Artifacts{Text: d.Render(), JSON: buf.Bytes()}
+		res, err = r.Design(b)
 	case KindValidate:
-		res, err := r.Validate(b, spec.Backend, spec.Bits)
-		if err != nil {
-			return Artifacts{}, err
-		}
-		if art, err = artifactsFor(res); err != nil {
-			return Artifacts{}, err
-		}
+		res, err = r.Validate(b, spec.Backend, spec.Bits)
 	case KindFaultSweep:
-		res, err := r.FaultSweep(b, noise.Spec{Kind: spec.Fault, Bits: spec.FaultBits}, ov)
-		if err != nil {
-			return Artifacts{}, err
-		}
-		if art, err = artifactsFor(res); err != nil {
-			return Artifacts{}, err
-		}
+		res, err = r.FaultSweep(b, noise.Spec{Kind: spec.Fault, Bits: spec.FaultBits}, ov)
 	default:
-		return Artifacts{}, fmt.Errorf("unknown job kind %q", spec.Kind)
+		err = fmt.Errorf("unknown job kind %q", spec.Kind)
+	}
+	if err != nil {
+		return Artifacts{}, err
+	}
+	art, err := artifactsFor(res)
+	if err != nil {
+		return Artifacts{}, err
 	}
 	if probes != nil {
 		var cbuf, jbuf bytes.Buffer
