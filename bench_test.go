@@ -268,6 +268,7 @@ func BenchmarkConv2DKernel(b *testing.B) {
 	x := tensor.New(8, 16, 16, 16).FillNormal(tensor.NewRNG(1), 0, 1)
 	w := tensor.New(32, 16, 3, 3).FillNormal(tensor.NewRNG(2), 0, 1)
 	bias := tensor.New(32)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tensor.Conv2D(x, w, bias, 1, 1)
@@ -397,6 +398,7 @@ func BenchmarkInferenceDeepCaps(b *testing.B) {
 		b.Fatal(err)
 	}
 	x := tensor.New(8, 3, 16, 16).FillUniform(tensor.NewRNG(8), 0, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.Forward(x, noise.None{})

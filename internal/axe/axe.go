@@ -257,7 +257,7 @@ func quantConv2D(lut *approx.LUT, x, w, bias *tensor.Tensor, stride, pad int, bi
 		var chunkOver int64
 		for r := r0; r < r1; r++ {
 			b, p := r/rows, r%rows
-			gatherCodeRow(row, xq, b, p/ow, p%ow, h, wd, spec)
+			tensor.PatchRow(row, xq, b, p/ow, p%ow, h, wd, spec)
 			mac(sums, row, wq)
 			chunkOver += quantAccRow(sums, row, wins[p], sx, mx, sw, mw, biasData,
 				out.Data[b*spec.OutCh*rows+p:], rows, satMax)
@@ -285,35 +285,6 @@ func clampTap(o, stride, pad, k, size int) (lo, hi int) {
 		hi = lo
 	}
 	return lo, hi
-}
-
-// gatherCodeRow writes the patch's operand codes for output position
-// (b, oy, ox) into dst, with code 0 at padded taps.
-func gatherCodeRow(dst []uint16, xq []uint16, b, oy, ox, h, wd int, spec tensor.ConvSpec) {
-	i := 0
-	for ci := 0; ci < spec.InCh; ci++ {
-		chBase := (b*spec.InCh + ci) * h * wd
-		for ky := 0; ky < spec.KH; ky++ {
-			iy := oy*spec.Stride + ky - spec.Pad
-			if iy < 0 || iy >= h {
-				for kx := 0; kx < spec.KW; kx++ {
-					dst[i] = 0
-					i++
-				}
-				continue
-			}
-			rowBase := chBase + iy*wd
-			for kx := 0; kx < spec.KW; kx++ {
-				ix := ox*spec.Stride + kx - spec.Pad
-				if ix < 0 || ix >= wd {
-					dst[i] = 0
-				} else {
-					dst[i] = xq[rowBase+ix]
-				}
-				i++
-			}
-		}
-	}
 }
 
 // quantAccRow finishes one patch row against every output channel:

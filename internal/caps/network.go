@@ -35,8 +35,8 @@ func (c *CapsCell) Forward(x *tensor.Tensor, inj noise.Injector) *tensor.Tensor 
 }
 
 // ForwardExec runs the cell under an execution backend, threading the
-// scratch arena through all four branch layers and recycling the branch
-// activations once summed.
+// scratch arena through all four branch layers. The branch activations
+// are squash outputs, never lent by the arena, so nothing is released.
 func (c *CapsCell) ForwardExec(x *tensor.Tensor, inj noise.Injector, s *tensor.Scratch, be Backend) *tensor.Tensor {
 	a := forwardLayer(c.L1, x, inj, s, be)
 	b := forwardLayer(c.L2, a, inj, s, be)
@@ -45,9 +45,7 @@ func (c *CapsCell) ForwardExec(x *tensor.Tensor, inj noise.Injector, s *tensor.S
 	if !main.SameShape(skip) {
 		panic(fmt.Sprintf("caps: cell %s branch shapes %v vs %v", c.CellName, main.Shape, skip.Shape))
 	}
-	out := tensor.Add(main, skip)
-	s.Release(a, b, main, skip)
-	return out
+	return tensor.Add(main, skip)
 }
 
 // Sites implements Layer.

@@ -124,7 +124,7 @@ func (l *ClassCaps) Forward(x *tensor.Tensor, inj noise.Injector) *tensor.Tensor
 // The vote MACs run on the backend; routing-by-agreement stays in float.
 func (l *ClassCaps) ForwardExec(x *tensor.Tensor, inj noise.Injector, s *tensor.Scratch, be Backend) *tensor.Tensor {
 	n := x.Shape[0]
-	u := flattenToCaps(x, l.InCaps, l.InDim)
+	u := flattenToCaps(x, l.InCaps, l.InDim, s)
 	votes := be.CapsVotes(l.LayerName, u, l.W, s)
 	votes = inj.Inject(noise.Site{Layer: l.LayerName, Group: noise.MACOutputs}, votes)
 	v := dynamicRouting(votes, l.LayerName, l.RoutingIterations, inj, s, nonlinearityOf(be))
@@ -139,20 +139,21 @@ func (l *ClassCaps) ForwardExec(x *tensor.Tensor, inj noise.Injector, s *tensor.
 // capsule layout (position-major per type, inCaps = caps·h·w). Exported
 // for ClassCaps' backward pass in internal/train.
 func FlattenCaps(x *tensor.Tensor, inCaps, inDim int) *tensor.Tensor {
-	return flattenToCaps(x, inCaps, inDim)
+	return flattenToCaps(x, inCaps, inDim, nil)
 }
 
 // flattenToCaps reinterprets x as [n, inCaps, inDim]. For a spatial input
 // [n, caps·dim, h, w], capsules are laid out position-major per type so
-// that inCaps = caps·h·w.
-func flattenToCaps(x *tensor.Tensor, inCaps, inDim int) *tensor.Tensor {
+// that inCaps = caps·h·w; the copy is lent from s and overwrites every
+// element. A rank-3 input is returned as is.
+func flattenToCaps(x *tensor.Tensor, inCaps, inDim int, s *tensor.Scratch) *tensor.Tensor {
 	n := x.Shape[0]
 	if x.Rank() == 3 {
 		return x
 	}
 	ctypes := x.Shape[1] / inDim
 	h, w := x.Shape[2], x.Shape[3]
-	out := tensor.New(n, inCaps, inDim)
+	out := s.Take(n, inCaps, inDim)
 	idx := 0
 	for b := 0; b < n; b++ {
 		for c := 0; c < ctypes; c++ {
@@ -250,11 +251,11 @@ func dynamicRouting(votes *tensor.Tensor, layer string, iterations int, inj nois
 			}
 		}
 
-		// v = squash(s) along the capsule dimension.
-		prev := v
+		// v = squash(s) along the capsule dimension. k and the previous v
+		// come from the nonlinearities, not the arena, so only s goes back.
 		v = nl.squash(s, 2)
 		v = inj.Inject(noise.Site{Layer: layer, Group: noise.Activations}, v)
-		sc.Release(k, s, prev)
+		sc.Release(s)
 
 		if it == iterations-1 {
 			break

@@ -223,6 +223,8 @@ func runJobs(ctx context.Context, o *obs.Obs, workers, jobs int, fn func(j int, 
 		m.Gauge("tensor.scratch.reuses").Add(float64(st.Reuses))
 		m.Gauge("tensor.scratch.allocs").Add(float64(st.Allocs))
 		m.Gauge("tensor.scratch.alloc_bytes").Add(float64(st.AllocBytes))
+		m.Gauge("tensor.scratch.dropped").Add(float64(st.Dropped))
+		m.Gauge("tensor.scratch.free_bytes").Add(float64(st.FreeBytes))
 	}
 	if fail != nil {
 		return fail

@@ -36,34 +36,55 @@ func Im2ColScratch(x *Tensor, spec ConvSpec, s *Scratch) *Tensor {
 		panic(fmt.Sprintf("tensor: Im2Col input channels %d != spec.InCh %d", c, spec.InCh))
 	}
 	oh, ow := spec.OutSize(h, w)
-	cols := s.Take(n*oh*ow, c*spec.KH*spec.KW)
-	row := 0
-	for b := 0; b < n; b++ {
-		base := b * c * h * w
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				dst := cols.Data[row*cols.Shape[1]:]
-				k := 0
-				for ch := 0; ch < c; ch++ {
-					chBase := base + ch*h*w
-					for ky := 0; ky < spec.KH; ky++ {
-						iy := oy*spec.Stride + ky - spec.Pad
-						for kx := 0; kx < spec.KW; kx++ {
-							ix := ox*spec.Stride + kx - spec.Pad
-							if iy >= 0 && iy < h && ix >= 0 && ix < w {
-								dst[k] = x.Data[chBase+iy*w+ix]
-							} else {
-								dst[k] = 0
-							}
-							k++
-						}
-					}
-				}
-				row++
-			}
-		}
+	patch := c * spec.KH * spec.KW
+	cols := s.Take(n*oh*ow, patch)
+	for r := 0; r < n*oh*ow; r++ {
+		p := r % (oh * ow)
+		PatchRow(cols.Data[r*patch:(r+1)*patch], x.Data, r/(oh*ow), p/ow, p%ow, h, w, spec)
 	}
 	return cols
+}
+
+// PatchRow writes the im2col row of output position (b, oy, ox) into
+// dst (length InCh·KH·KW): the taps of the NCHW input x (b's planes are
+// InCh planes of h×wd) in (ci, ky, kx) order, zero at padded taps. It is
+// the one patch gather behind Im2Col, the streamed float GEMM and the
+// quantized integer GEMM, which gathers uint16 operand codes with code 0
+// at padded taps.
+func PatchRow[T float64 | uint16](dst, x []T, b, oy, ox, h, wd int, spec ConvSpec) {
+	// Valid kx taps are the same for every (ci, ky) row of the patch.
+	ix0 := ox*spec.Stride - spec.Pad
+	kxLo, kxHi := max(0, -ix0), min(spec.KW, wd-ix0)
+	i := 0
+	for ci := 0; ci < spec.InCh; ci++ {
+		chBase := (b*spec.InCh + ci) * h * wd
+		for ky := 0; ky < spec.KH; ky++ {
+			d := dst[i : i+spec.KW]
+			i += spec.KW
+			iy := oy*spec.Stride + ky - spec.Pad
+			if iy < 0 || iy >= h || kxHi <= kxLo {
+				zeroRun(d, 0, len(d))
+				continue
+			}
+			// Element loops, not copy and clear: the runs are a few taps
+			// long, too short to pay for a memmove or memclr call.
+			src := x[chBase+iy*wd+ix0+kxLo : chBase+iy*wd+ix0+kxHi]
+			zeroRun(d, 0, kxLo)
+			mid := d[kxLo:kxHi]
+			mid = mid[:len(src)]
+			for j, v := range src {
+				mid[j] = v
+			}
+			zeroRun(d, kxHi, len(d))
+		}
+	}
+}
+
+// zeroRun zeroes d[lo:hi] element by element (see PatchRow).
+func zeroRun[T float64 | uint16](d []T, lo, hi int) {
+	for j := lo; j < hi; j++ {
+		d[j] = 0
+	}
 }
 
 // Col2Im folds a column matrix (as produced by Im2Col, shape
@@ -111,25 +132,25 @@ func Conv2D(x, w, b *Tensor, stride, pad int) *Tensor {
 	return Conv2DScratch(x, w, b, stride, pad, nil)
 }
 
-// Conv2DScratch is Conv2D with its temporaries taken from (and released
-// back to) an optional scratch arena, so repeated forward passes stop
-// churning the allocator. The returned output tensor is always freshly
-// allocated — it escapes to the caller and must survive arena reuse.
+// Conv2DScratch is Conv2D with its output taken from an optional scratch
+// arena (nil allocates fresh). The output is lent to the caller: release
+// it to the same arena when done, or keep it — an unreleased output
+// simply stays out of the arena's reuse.
 //
 // Dispatch is by shape only (never by CPU features), so a given
 // convolution always takes the same numeric path on every machine:
 // 3×3 stride-1 kernels on wide-enough planes run the fused im2col-free
 // direct path, 1×1 stride-1 unpadded kernels run the channel-axpy direct
-// path, and everything else goes through im2col + the blocked GEMM with
-// a fused bias+transpose epilogue. Each path is bit-identical to its
-// reference oracle in conv_ref.go.
+// path, and everything else runs the streamed GEMM (patch rows gathered
+// per output position, fused bias+transpose epilogue). Each path is
+// bit-identical to its reference oracle in conv_ref.go.
 func Conv2DScratch(x, w, b *Tensor, stride, pad int, s *Scratch) *Tensor {
 	kh, kw := w.Shape[2], w.Shape[3]
 	switch {
 	case kh == 3 && kw == 3 && stride == 1 && use3x3Direct(x.Shape[3]):
-		return conv2DDirect3x3(x, w, b, pad)
+		return conv2DDirect3x3(x, w, b, pad, s)
 	case kh == 1 && kw == 1 && stride == 1 && pad == 0:
-		return conv2DDirect1x1(x, w, b)
+		return conv2DDirect1x1(x, w, b, s)
 	default:
 		return conv2DGEMM(x, w, b, stride, pad, s)
 	}
@@ -148,11 +169,13 @@ func use3x3Direct(wd int) bool {
 	return wd-2 >= 10
 }
 
-// conv2DGEMM is the general path: im2col, then each output position's
-// patch row is multiplied against blocks of eight kernel rows (the
-// shared-load dot8 tile), with bias add and the [row, OutCh] →
-// [N, OutCh, OH, OW] transpose fused into the epilogue instead of
-// materializing a product matrix.
+// conv2DGEMM is the general path, a streamed im2col GEMM: each output
+// position's patch row is gathered (PatchRow) into a per-chunk buffer
+// inside the row-parallel loop and multiplied against blocks of eight
+// kernel rows (the shared-load dot8 tile), with bias add and the
+// [row, OutCh] → [N, OutCh, OH, OW] transpose fused into the epilogue.
+// Neither the [N·OH·OW, patch] column matrix nor a product matrix is
+// ever materialized.
 func conv2DGEMM(x, w, b *Tensor, stride, pad int, s *Scratch) *Tensor {
 	spec := ConvSpec{
 		KH: w.Shape[2], KW: w.Shape[3],
@@ -161,16 +184,16 @@ func conv2DGEMM(x, w, b *Tensor, stride, pad int, s *Scratch) *Tensor {
 	}
 	n, h, wd := x.Shape[0], x.Shape[2], x.Shape[3]
 	oh, ow := spec.OutSize(h, wd)
-	cols := Im2ColScratch(x, spec, s) // [N*OH*OW, patch]
 	patch := spec.InCh * spec.KH * spec.KW
-	out := New(n, spec.OutCh, oh, ow)
+	out := s.Take(n, spec.OutCh, oh, ow) // every element is written below
 	rows := oh * ow
 	oc8 := spec.OutCh &^ 7
 	ParallelRows(n*rows, func(r0, r1 int) {
+		crow := make([]float64, patch)
 		var dots [8]float64
 		for r := r0; r < r1; r++ {
 			bIdx, p := r/rows, r%rows
-			crow := cols.Data[r*patch : (r+1)*patch]
+			PatchRow(crow, x.Data, bIdx, p/ow, p%ow, h, wd, spec)
 			outB := out.Data[bIdx*spec.OutCh*rows:]
 			for oc0 := 0; oc0 < oc8; oc0 += 8 {
 				dot8Into(dots[:], crow, w.Data[oc0*patch:], patch)
@@ -191,8 +214,24 @@ func conv2DGEMM(x, w, b *Tensor, stride, pad int, s *Scratch) *Tensor {
 			}
 		}
 	})
-	s.Release(cols)
 	return out
+}
+
+// fillPlanes sets every [OH·OW] output plane of out ([N, OutCh, OH, OW])
+// to its channel's bias, or to +0 without one — the starting value of
+// the direct paths' accumulation, so a recycled buffer needs no zeroing.
+func fillPlanes(out, bias *Tensor) {
+	outCh, rows := out.Shape[1], out.Shape[2]*out.Shape[3]
+	for i := 0; i < len(out.Data); i += rows {
+		bv := 0.0
+		if bias != nil {
+			bv = bias.Data[(i/rows)%outCh]
+		}
+		plane := out.Data[i : i+rows]
+		for j := range plane {
+			plane[j] = bv
+		}
+	}
 }
 
 // fused3Row adds one 3-tap row pass to dst: dst[i] += ((x[i]*w0 +
@@ -263,11 +302,12 @@ func edge3Cols(plane, xplane []float64, oyLo, oyHi, ky, pad, ow, wd, lo, hi int,
 // pixels never test padding. The per-element summation order — bias
 // first, then one fused tap triple per (ci, ky) in ascending order — is
 // exactly Conv2DRef's direct order.
-func conv2DDirect3x3(x, w, bias *Tensor, pad int) *Tensor {
+func conv2DDirect3x3(x, w, bias *Tensor, pad int, s *Scratch) *Tensor {
 	n, c, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	outCh := w.Shape[0]
 	oh, ow := h+2*pad-2, wd+2*pad-2
-	out := New(n, outCh, oh, ow)
+	out := s.Take(n, outCh, oh, ow)
+	fillPlanes(out, bias)
 	rows := oh * ow
 
 	// Interior columns: all three kx taps in bounds.
@@ -295,15 +335,6 @@ func conv2DDirect3x3(x, w, bias *Tensor, pad int) *Tensor {
 	}
 
 	for b := 0; b < n; b++ {
-		for oc := 0; oc < outCh; oc++ {
-			if bias != nil {
-				plane := out.Data[(b*outCh+oc)*rows : (b*outCh+oc+1)*rows]
-				bv := bias.Data[oc]
-				for i := range plane {
-					plane[i] = bv
-				}
-			}
-		}
 		oc := 0
 		for ; oc+1 < outCh; oc += 2 {
 			p0 := out.Data[(b*outCh+oc)*rows : (b*outCh+oc+1)*rows]
@@ -371,20 +402,15 @@ func conv2DDirect3x3(x, w, bias *Tensor, pad int) *Tensor {
 
 // conv2DDirect1x1 is the pointwise fast path: each output plane is the
 // bias plus a channel-axpy over input planes in ascending ci order.
-func conv2DDirect1x1(x, w, bias *Tensor) *Tensor {
+func conv2DDirect1x1(x, w, bias *Tensor, s *Scratch) *Tensor {
 	n, c, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	outCh := w.Shape[0]
-	out := New(n, outCh, h, wd)
+	out := s.Take(n, outCh, h, wd)
+	fillPlanes(out, bias)
 	plane := h * wd
 	for b := 0; b < n; b++ {
 		for oc := 0; oc < outCh; oc++ {
 			dst := out.Data[(b*outCh+oc)*plane : (b*outCh+oc+1)*plane]
-			if bias != nil {
-				bv := bias.Data[oc]
-				for i := range dst {
-					dst[i] = bv
-				}
-			}
 			for ci := 0; ci < c; ci++ {
 				wv := w.Data[oc*c+ci]
 				src := x.Data[(b*c+ci)*plane : (b*c+ci+1)*plane : (b*c+ci+1)*plane]

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"runtime"
 	"testing"
 )
@@ -160,6 +161,19 @@ func TestConv2DBitwiseVsRef(t *testing.T) {
 		{2, 2, 7, 5, 2, 3, 2, 1},
 		{1, 1, 6, 6, 9, 1, 2, 0}, // 1×1 stride 2 goes through GEMM
 		{1, 2, 8, 8, 16, 4, 3, 1},
+		// DeepCaps' narrow planes as the sweep runs them: 3×3 pad 1 on
+		// 1×1, 2×2 and 4×4 planes, stride 1 and 2, in 8 (ConvCaps3D
+		// votes) or 64 channels, out 64.
+		{2, 8, 1, 1, 64, 3, 1, 1},
+		{2, 8, 2, 2, 64, 3, 1, 1},
+		{2, 8, 4, 4, 64, 3, 1, 1},
+		{2, 8, 2, 2, 64, 3, 2, 1},
+		{2, 8, 4, 4, 64, 3, 2, 1},
+		{2, 64, 1, 1, 64, 3, 1, 1},
+		{2, 64, 2, 2, 64, 3, 1, 1},
+		{2, 64, 4, 4, 64, 3, 1, 1},
+		{2, 64, 2, 2, 64, 3, 2, 1},
+		{2, 64, 4, 4, 64, 3, 2, 1},
 	}
 	r := lcg(7)
 	for i, tc := range cases {
@@ -173,7 +187,10 @@ func TestConv2DBitwiseVsRef(t *testing.T) {
 			s := NewScratch()
 			got := Conv2DScratch(x, w, b, tc.stride, tc.pad, s)
 			requireSameBits(t, "Conv2DScratch", got, ref)
-			// Reuse the arena: recycled im2col buffers must not leak state.
+			// Reuse the arena: a recycled, poisoned output buffer must be
+			// fully overwritten.
+			got.Fill(math.NaN())
+			s.Release(got)
 			requireSameBits(t, "Conv2DScratch reuse", Conv2DScratch(x, w, b, tc.stride, tc.pad, s), ref)
 		}
 	}

@@ -91,3 +91,34 @@ func TestMatMulTScratchMatches(t *testing.T) {
 		}
 	}
 }
+
+// TestScratchTakesBackOnlyWhatItLent pins the lending rule: foreign
+// buffers, views that start elsewhere and second releases are dropped
+// and counted, never filed on the free list.
+func TestScratchTakesBackOnlyWhatItLent(t *testing.T) {
+	s, other := NewScratch(), NewScratch()
+	a := s.Take(4, 8)
+	s.Release(
+		New(32),                   // never lent
+		other.Take(32),            // lent by another arena
+		NewFrom(a.Data[8:], 3, 8), // a view that does not start at a's base
+		NewFrom(a.Data[:16], 16),  // right base, wrong length
+	)
+	s.Release(a, a) // the second release is no longer on loan
+	codes := s.TakeU16(6)
+	s.ReleaseU16(codes, codes, make([]uint16, 6))
+	got := s.Stats()
+	want := ScratchStats{Takes: 2, Allocs: 2, AllocBytes: 256 + 12, Releases: 2, Dropped: 7, FreeBytes: 256 + 12}
+	if got != want {
+		t.Fatalf("stats = %+v, want %+v", got, want)
+	}
+	if b := s.Take(32); &b.Data[0] != &a.Data[0] {
+		t.Fatal("the lent buffer was not recycled")
+	}
+	if c := s.Take(32); &c.Data[0] == &a.Data[0] {
+		t.Fatal("a double release put one buffer on the free list twice")
+	}
+	if st := s.Stats(); st.FreeBytes != 12 {
+		t.Fatalf("free bytes after re-taking = %d, want 12", st.FreeBytes)
+	}
+}

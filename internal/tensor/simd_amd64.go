@@ -30,10 +30,18 @@ func avxSupported() bool {
 	return lo&6 == 6
 }
 
-// Implemented in simd_amd64.s.
+// Implemented in simd_amd64.s. The kernels keep no pointer past their
+// return, so //go:noescape lets callers keep operands on the stack —
+// without it every dot8Into call heap-allocates its [32]float64 lanes.
 
 func cpuidx(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
+
+//go:noescape
 func gemm8LanesAVX(a, w *float64, wStride, k4 int, lanes *[32]float64)
+
+//go:noescape
 func fused3RowsAVX(dst, x *float64, rows, n int, dstStride, xStride int, w0, w1, w2 float64)
+
+//go:noescape
 func fused3Rows2AVX(dst0, dst1, x *float64, rows, n int, dstStride, xStride int, u0, u1, u2, v0, v1, v2 float64)

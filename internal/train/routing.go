@@ -92,7 +92,7 @@ func (l *ConvCaps3D) Backward(gy *tensor.Tensor) *tensor.Tensor {
 			dst := (b*c.InCaps + i) * inSz
 			copy(gx.Data[dst:dst+inSz], gsub.Data[b*inSz:(b+1)*inSz])
 		}
-		l.s.Release(sub, gout, gsub, gw) // all copied/accumulated above
+		l.s.Release(sub, gout) // gsub and gw are fresh, not lent by l.s
 	}
 	return gx
 }
